@@ -8,7 +8,7 @@ rankings to agree and the ratios to stay within a band.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.designs import ChipDesign
 from repro.interval.contention import isolated_ips
@@ -58,18 +58,12 @@ def cross_validate(
     profiles: Sequence[BenchmarkProfile],
     core: CoreConfig = BIG,
     instructions: int = 20_000,
-    sample_interval: Optional[int] = None,
-    sample_warmup: int = 600,
     sampling=None,
 ) -> CrossValidation:
     """Run each profile alone on ``core`` through both tiers.
 
-    ``sample_interval`` switches the cycle-level runs to sampled
-    simulation (see :mod:`repro.sim.sampling`): detailed windows plus
-    functionally-warmed fast-forward, trading exactness for speed while
-    holding CPI within a few percent — useful for large validation sweeps.
-    ``sampling`` accepts an interval or ``"live"`` for adaptive live
-    sampling (no interval to tune), exactly as
+    ``sampling="live"`` switches the cycle-level runs to live sampled
+    simulation (see :mod:`repro.sim.sampling`), exactly as
     :meth:`~repro.sim.multicore.MulticoreSimulator.run` does.
     """
     design = ChipDesign(name=f"xval-{core.name}", cores=(core,))
@@ -78,13 +72,7 @@ def cross_validate(
     cycle = {}
     for p in profiles:
         interval[p.name] = isolated_ips(p, core) / (core.frequency_ghz * 1e9)
-        result = sim.run(
-            [ThreadSim(p, core_index=0)],
-            instructions,
-            sample_interval=sample_interval,
-            sample_warmup=sample_warmup,
-            sampling=sampling,
-        )
+        result = sim.run([ThreadSim(p, core_index=0)], instructions, sampling=sampling)
         cycle[p.name] = result.ipc_of(0)
     return CrossValidation(
         core_name=core.name, interval_ipc=interval, cycle_ipc=cycle
@@ -95,8 +83,6 @@ def cross_validate_chip(
     design: ChipDesign,
     mix: Sequence[BenchmarkProfile],
     instructions: int = 10_000,
-    sample_interval: Optional[int] = None,
-    sample_warmup: int = 600,
     sampling=None,
 ) -> Tuple[float, float]:
     """Total chip IPC for one scheduled mix, from both tiers.
@@ -121,10 +107,6 @@ def cross_validate_chip(
                 ThreadSim(spec.profile, core_index=core_index, seed=11 + slot)
             )
     cycle_result = MulticoreSimulator(design).run(
-        threads,
-        instructions,
-        sample_interval=sample_interval,
-        sample_warmup=sample_warmup,
-        sampling=sampling,
+        threads, instructions, sampling=sampling
     )
     return interval_total, cycle_result.total_ipc

@@ -191,17 +191,14 @@ def _build_engine(
     unit_timeout: Optional[float] = None,
     slab_size: Optional[int] = None,
     store_backend: str = "dir",
-    pool: str = "persistent",
 ):
     """An engine with the persistent store (unless ``no_cache``).
 
     ``slab_size`` controls slab dispatch: ``None`` picks the default for
     multi-worker runs (32 points per slab, enough to amortize IPC), ``0``
     forces per-point dispatch, anything else is the points-per-slab count.
-    ``pool`` picks worker lifetime: ``persistent`` (warm workers reused
-    across engine calls) or ``per-call`` (a fresh process pool per call).
     """
-    from repro.engine import POOL_MODES, Engine, ResultStore
+    from repro.engine import Engine, ResultStore
 
     if jobs < 1:
         _LOG.error(f"error: --jobs must be >= 1, got {jobs}")
@@ -215,9 +212,6 @@ def _build_engine(
     if slab_size is not None and slab_size < 0:
         _LOG.error(f"error: --slab-size must be >= 0, got {slab_size}")
         raise SystemExit(2)
-    if pool not in POOL_MODES:
-        _LOG.error(f"error: --pool must be one of {POOL_MODES}, got {pool!r}")
-        raise SystemExit(2)
     if slab_size is None:
         slab_size = 32 if jobs > 1 else 0
     store = None if no_cache else ResultStore(cache_dir, backend=store_backend)
@@ -227,7 +221,6 @@ def _build_engine(
         retries=retries,
         unit_timeout=unit_timeout,
         slab_size=slab_size or None,
-        pool=pool,
     )
 
 
@@ -287,7 +280,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         engine = _build_engine(
             args.jobs, args.cache_dir, retries=args.retries,
             unit_timeout=args.unit_timeout, store_backend=args.store_backend,
-            pool=args.pool,
         )
         engine.progress = ProgressLine(f"figure {args.id}", enabled=args.progress)
         set_engine(engine)
@@ -387,7 +379,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args.jobs, args.cache_dir, args.no_cache,
         retries=args.retries, unit_timeout=args.unit_timeout,
         slab_size=args.slab_size, store_backend=args.store_backend,
-        pool=args.pool,
     )
     engine.progress = ProgressLine("sweep", enabled=args.progress)
     study = DesignSpaceStudy(engine=engine)
@@ -541,7 +532,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         args.jobs, args.cache_dir, args.no_cache,
         retries=args.retries, unit_timeout=args.unit_timeout,
         slab_size=args.slab_size, store_backend=args.store_backend,
-        pool=args.pool,
     )
     engine.progress = ProgressLine("explore", enabled=args.progress)
     try:
@@ -612,12 +602,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         )
     failed = last_run.get("units_failed", 0)
     retried = last_run.get("units_retried", 0)
-    broken = last_run.get("broken_pools", 0)
     respawned = last_run.get("worker_respawns", 0)
-    if failed or retried or broken or respawned:
+    if failed or retried or respawned:
         print(
             f"  faults        : {failed} failed, {retried} retried, "
-            f"{broken} broken pool(s), {respawned} worker(s) respawned"
+            f"{respawned} worker(s) respawned"
         )
     phases = last_run.get("phase_seconds")
     shares = last_run.get("phase_shares") or {}
@@ -692,7 +681,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         retries=args.retries,
         unit_timeout=args.unit_timeout,
         slab_size=args.slab_size,
-        pool=args.pool,
         quota=args.quota,
         max_finished_jobs=args.max_finished_jobs,
         http_port=args.http_port,
@@ -962,21 +950,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.microarch.config import BIG
     from repro.workloads.spec import all_profiles
 
-    if args.sampling == "live":
-        cv = cross_validate(
-            all_profiles(),
-            BIG,
-            instructions=args.instructions,
-            sampling="live",
-        )
-    else:
-        cv = cross_validate(
-            all_profiles(),
-            BIG,
-            instructions=args.instructions,
-            sample_interval=args.sampling,
-            sample_warmup=args.sampling_warmup,
-        )
+    cv = cross_validate(
+        all_profiles(), BIG, instructions=args.instructions, sampling=args.sampling
+    )
     print(f"{'benchmark':12s}{'interval':>10s}{'cycle':>8s}{'ratio':>7s}")
     for name in sorted(cv.interval_ipc):
         print(
@@ -985,18 +961,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         )
     print(f"Spearman rank correlation: {cv.rank_correlation:.3f}")
     return 0 if cv.rank_correlation > 0.8 else 1
-
-
-def _sampling_mode(text: str):
-    """``--sampling`` value: an integer interval or the word 'live'."""
-    if text.strip().lower() == "live":
-        return "live"
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer interval or 'live', got {text!r}"
-        )
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -1038,19 +1002,6 @@ def _add_store_backend_flag(parser: argparse.ArgumentParser) -> None:
         help="result store layout: one JSON file per record ('dir', the "
         "default) or sharded sqlite databases ('sqlite', better under "
         "concurrent writers such as the serve daemon)",
-    )
-
-
-def _add_pool_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--pool",
-        default="persistent",
-        choices=("persistent", "per-call"),
-        help="worker pool lifetime: 'persistent' (the default) keeps warm "
-        "workers alive across engine calls — modules imported once, "
-        "worker-side model caches retained, crashed workers respawned "
-        "individually; 'per-call' builds a fresh process pool for every "
-        "engine call (the pre-warm-pool behaviour)",
     )
 
 
@@ -1150,7 +1101,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_tolerance_flags(p_fig)
     _add_obs_flags(p_fig)
     _add_store_backend_flag(p_fig)
-    _add_pool_flag(p_fig)
     _add_server_flag(p_fig)
     p_fig.set_defaults(func=_cmd_figure)
 
@@ -1195,7 +1145,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_tolerance_flags(p_sweep)
     _add_obs_flags(p_sweep)
     _add_store_backend_flag(p_sweep)
-    _add_pool_flag(p_sweep)
     _add_server_flag(p_sweep)
     p_sweep.add_argument("--json", action="store_true", help="machine-readable output")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -1296,7 +1245,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_tolerance_flags(p_explore)
     _add_obs_flags(p_explore)
     _add_store_backend_flag(p_explore)
-    _add_pool_flag(p_explore)
     _add_server_flag(p_explore)
     p_explore.add_argument(
         "--json", action="store_true", help="machine-readable output"
@@ -1422,7 +1370,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_tolerance_flags(p_serve)
     _add_obs_flags(p_serve)
     _add_store_backend_flag(p_serve)
-    _add_pool_flag(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_top = sub.add_parser(
@@ -1546,23 +1493,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--instructions", type=int, default=15_000)
     p_val.add_argument(
         "--sampling",
-        type=_sampling_mode,
+        choices=("live",),
         default=None,
-        metavar="INTERVAL|live",
-        help="run the cycle tier in sampled mode: an integer is a "
-        "per-thread periodic sampling interval (instructions), 'live' "
-        "enables adaptive live sampling (online phase detector + error "
-        "controller, no interval to tune); detailed windows plus "
+        help="run the cycle tier with adaptive live sampling (online phase "
+        "detector + error controller): detailed windows plus "
         "functionally-warmed fast-forward instead of full simulation "
         "(see docs/performance.md)",
-    )
-    p_val.add_argument(
-        "--sampling-warmup",
-        type=int,
-        default=600,
-        metavar="N",
-        help="minimum detailed-window half-size for sampled mode "
-        "(window = max(2*N, INTERVAL/4); default: 600)",
     )
     p_val.set_defaults(func=_cmd_validate)
 

@@ -580,7 +580,7 @@ def clear_reference_cache() -> None:
 #: the cold bracket, so stale or wrong entries cost at most two evaluations.
 # Points per lockstep solver call in :meth:`DesignSpaceStudy._compute_mix_batch`.
 # Small enough that early chunks seed warm-start hints for later ones, large
-# enough that the batch kernel amortizes its per-call setup.
+# enough that the batch kernel amortizes its setup cost per call.
 _BATCH_CHUNK = 32
 
 _LATENCY_HINT_CACHE = KeyedCache("study-latency-hints")

@@ -19,8 +19,8 @@ evaluation into explicit work units and makes both kinds of reuse cheap:
   databases (``--store-backend sqlite``, better under concurrent writers
   such as the serve daemon);
 * :mod:`repro.engine.executor` — :class:`ParallelExecutor` (a persistent
-  :class:`WorkerPool` by default, with a per-call process pool mode and a
-  bit-identical serial fallback) and :class:`Engine`, the facade that
+  :class:`WorkerPool` with a bit-identical serial fallback) and
+  :class:`Engine`, the facade that
   checks the store in one batched lookup, computes misses in parallel and
   streams results back in deterministic order as workers finish;
 * :mod:`repro.engine.stats` — :class:`EngineStats`: per-phase wall time,
@@ -38,8 +38,9 @@ free when off.
 
 Failures are isolated per unit: a crashing unit yields a structured
 :class:`UnitFailure` (with configurable retries, exponential backoff and a
-per-unit timeout) instead of poisoning its chunk, a dead worker's chunk is
-re-executed serially, and an unwritable cache directory degrades the store
+per-unit timeout) instead of poisoning its batch, a dead worker is
+respawned alone while its unit re-runs in the parent, and an unwritable
+cache directory degrades the store
 to in-memory caching with a warning instead of aborting the run.
 
 Typical use::
@@ -61,7 +62,6 @@ from repro.engine.backends import (
     make_backend,
 )
 from repro.engine.executor import (
-    POOL_MODES,
     Engine,
     EngineFailureError,
     ParallelExecutor,
@@ -87,7 +87,6 @@ __all__ = [
     "EngineFailureError",
     "ParallelExecutor",
     "WorkerPool",
-    "POOL_MODES",
     "UnitOutcome",
     "UnitTimeoutError",
     "UnitFailure",

@@ -17,8 +17,8 @@ Fault kinds:
 ``kill``
     the worker process evaluating the matching unit dies with
     ``os._exit`` — but **only inside a pool worker** (see
-    :func:`mark_worker_process`), so the executor's serial re-execution of
-    a lost chunk in the parent is not itself killed;
+    :func:`mark_worker_process`), so the executor's re-execution of a
+    dead worker's unit in the parent is not itself killed;
 ``slow``
     evaluation of the matching unit is delayed by ``seconds`` (for
     per-unit timeout tests);
@@ -150,7 +150,7 @@ def _should_fire(index: int, fault: Fault) -> bool:
 
 
 def mark_worker_process() -> None:
-    """Pool-worker initializer: arm worker-only faults (``kill``) here."""
+    """Called first in every pool worker: arm worker-only faults (``kill``)."""
     global _IN_WORKER
     _IN_WORKER = True
 
@@ -186,9 +186,8 @@ def current_spec() -> str:
 def sync_spec(spec: str) -> None:
     """Adopt the parent's fault spec inside a persistent pool worker.
 
-    Per-call pools inherit ``$REPRO_FAULT_SPEC`` at fork time, but a
-    persistent worker may have forked *before* a test or CLI run installed
-    its spec — so the executor ships the parent's current spec with every
+    A persistent worker may have forked *before* a test or CLI run
+    installed its spec — so the executor ships the parent's current spec with every
     task and the worker applies it here.  :func:`_active` re-parses (and
     re-arms ``times=`` budgets) only when the spec string actually
     changed, so an unchanged spec keeps its per-process fire counters and
@@ -214,8 +213,8 @@ def inject_unit_faults(unit) -> None:
         if not fault.matches_unit(unit):
             continue
         if fault.kind == "kill" and not _IN_WORKER:
-            # Never kill the parent: the executor's serial re-execution of
-            # a lost chunk must survive the very unit that killed a worker.
+            # Never kill the parent: the executor's re-execution of a dead
+            # worker's unit must survive the very unit that killed it.
             continue
         if not _should_fire(index, fault):
             continue

@@ -126,7 +126,7 @@ class UnitFailure:
     """Structured outcome of a work unit whose evaluation kept failing.
 
     The executor returns one of these *in the unit's result slot* instead
-    of letting the exception poison the whole chunk: every other unit's
+    of letting the exception poison the whole batch: every other unit's
     result survives, aligned index-for-index with the input.
     """
 

@@ -109,9 +109,6 @@ class ServeConfig:
     retries: int = 1
     unit_timeout: Optional[float] = None
     slab_size: int = DEFAULT_SLAB_SIZE
-    #: Worker-pool lifetime ("persistent" keeps one warm pool across jobs;
-    #: "per-call" rebuilds a process pool per engine call).
-    pool: str = "persistent"
     quota: int = DEFAULT_QUOTA
     #: Terminal jobs retained for poll/wait; older ones are evicted so a
     #: long-lived daemon's job table stays bounded.
@@ -234,7 +231,6 @@ class SweepServer:
             retries=config.retries,
             unit_timeout=config.unit_timeout,
             slab_size=engine_slab if engine_slab > 1 else None,
-            pool=config.pool,
         )
 
     # ------------------------------------------------------------------ #

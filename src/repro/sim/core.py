@@ -37,7 +37,7 @@ changing a single reported number:
 """
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.microarch.branch import predictor_for_core
@@ -143,20 +143,6 @@ class SimThread:
         count = self._comp_count
         self._comp_ring[count & _DEP_MASK] = completion
         self._comp_count = count + 1
-
-    def reset_pipeline_state(self, now: int) -> None:
-        """Drop in-flight state (sampled simulation window boundaries).
-
-        Clears the ROB and dependence ring as if the pipeline drained; the
-        architectural warm state (predictor, cache contents via the shared
-        hierarchy, cursor position) is untouched.
-        """
-        self.rob.clear()
-        # In place: the batched kernel prebinds the ring object (_kctx).
-        self._comp_ring[:] = [0] * _DEP_WINDOW
-        self._comp_count = 0
-        if self.fetch_stalled_until < now:
-            self.fetch_stalled_until = now
 
 
 class PipelineCore:
@@ -1038,23 +1024,20 @@ class PipelineCore:
             now = nxt
 
     # ------------------------------------------------------------------ #
-    # functional warming (sampled simulation)                             #
+    # functional warming (live sampled simulation)                        #
     # ------------------------------------------------------------------ #
 
     def functional_warm(
-        self,
-        per_thread: Union[int, Sequence[int]],
-        dram_addresses: Optional[List[int]] = None,
+        self, per_thread: Sequence[int]
     ) -> List[Tuple[int, int, int, int, int]]:
-        """Advance every thread up to ``per_thread`` instructions with
-        functional warming only.
+        """Advance each thread up to its ``per_thread`` count of
+        instructions with functional warming only.
 
-        ``per_thread`` is either one count applied to every thread or a
-        sequence of counts, one per thread in slot order — live sampling
-        warms SMT siblings by *different* amounts so their relative rates
-        of progress match the CPIs it measured (equal-instruction warming
-        would keep a fast thread artificially co-resident with a slow
-        sibling for the whole run).
+        ``per_thread`` holds one count per thread in slot order — live
+        sampling warms SMT siblings by *different* amounts so their
+        relative rates of progress match the CPIs it measured
+        (equal-instruction warming would keep a fast thread artificially
+        co-resident with a slow sibling for the whole run).
 
         Caches see every reference (contents, LRU and dirty state update
         through the real access path) and branch predictors train on every
@@ -1065,25 +1048,17 @@ class PipelineCore:
         branch_mispredicts)`` for the data stream — the stall events the
         sampled tier's extrapolation model prices (matching the levels a
         detailed window records in ``stats.level_hits``).
-
-        ``dram_addresses``, if given, collects the address of every access
-        that missed all cache levels (data and instruction side), so the
-        caller can replay them into the DRAM timing model — warming bank
-        and bus queues that the functional pass leaves untouched.
         """
         caches = self.hierarchy.core_caches[self.core_index]
         l1i, l1d, l2 = caches.l1i, caches.l1d, caches.l2
         llc = self.hierarchy.llc
         line_bytes = self._l1i_line_bytes
-        if isinstance(per_thread, int):
-            counts = [per_thread] * len(self.threads)
-        else:
-            counts = list(per_thread)
-            if len(counts) != len(self.threads):
-                raise ValueError(
-                    f"functional_warm got {len(counts)} counts for "
-                    f"{len(self.threads)} threads"
-                )
+        counts = list(per_thread)
+        if len(counts) != len(self.threads):
+            raise ValueError(
+                f"functional_warm got {len(counts)} counts for "
+                f"{len(self.threads)} threads"
+            )
         out: List[Tuple[int, int, int, int, int]] = []
         l1i_access = l1i.access
         l1d_access = l1d.access
@@ -1112,11 +1087,8 @@ class PipelineCore:
                     if line != last_line:
                         last_line = line
                         pc = k_pc[cursor]
-                        if not l1i_access(pc):
-                            if not l2_access(pc):
-                                if not llc_access(pc):
-                                    if dram_addresses is not None:
-                                        dram_addresses.append(pc)
+                        if not l1i_access(pc) and not l2_access(pc):
+                            llc_access(pc)
                     mem = k_mem[cursor]
                     if mem == 1 or mem == 2:
                         is_write = mem == 2
@@ -1128,8 +1100,6 @@ class PipelineCore:
                                 llc_hits += 1
                             else:
                                 dram += 1
-                                if dram_addresses is not None:
-                                    dram_addresses.append(address)
                     elif mem == 3:
                         if predictor_update(k_pc[cursor], k_taken[cursor]):
                             mispredicts += 1
@@ -1139,11 +1109,8 @@ class PipelineCore:
                     line = instr.pc // line_bytes
                     if line != last_line:
                         last_line = line
-                        if not l1i_access(instr.pc):
-                            if not l2_access(instr.pc):
-                                if not llc_access(instr.pc):
-                                    if dram_addresses is not None:
-                                        dram_addresses.append(instr.pc)
+                        if not l1i_access(instr.pc) and not l2_access(instr.pc):
+                            llc_access(instr.pc)
                     kind = instr.kind
                     if kind == "load" or kind == "store":
                         is_write = kind == "store"
@@ -1154,8 +1121,6 @@ class PipelineCore:
                                 llc_hits += 1
                             else:
                                 dram += 1
-                                if dram_addresses is not None:
-                                    dram_addresses.append(instr.address)
                     elif kind == "branch":
                         if predictor_update(instr.pc, instr.taken):
                             mispredicts += 1

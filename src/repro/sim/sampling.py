@@ -1,12 +1,10 @@
-"""Sampled cycle-level simulation (Pac-Sim style periodic sampling).
+"""Live sampled cycle-level simulation (Pac-Sim style).
 
-Full cycle-level runs simulate every instruction in detail.  Sampled runs
-split each thread's instruction stream into periods of ``interval``
-instructions: a **detailed window** at the head of each period is simulated
-cycle by cycle on the real pipeline, and the remainder is **fast-forwarded
-with functional warming** — caches and branch predictors see every
-reference through the real access paths, but no cycles elapse and no
-timing state is touched.
+Full cycle-level runs simulate every instruction in detail.  Live sampled
+runs alternate lockstep **detailed windows**, simulated cycle by cycle on
+the real pipeline, with **fast-forwarded spans** under functional warming —
+caches and branch predictors see every reference through the real access
+paths, but no cycles elapse and no timing state is touched.
 
 Two properties make the estimate sharp:
 
@@ -35,38 +33,26 @@ Two properties make the estimate sharp:
   measured window totals exactly, and degrades gracefully to whole-window
   CPI extrapolation when a thread shows no stall-score variance.
 
-The initial trace warm-up prefix (cold-cache exclusion in full runs) is
-handled per policy: periodic sampling replaces it entirely by functional
-warming — same architectural effect at near-zero cost — while live
-sampling lets the prefix participate in the sampling loop at its natural
-rate, preserving the wall-clock staggering with which threads enter their
-measured regions (an accounting boundary keeps prefix cycles and events
-out of the estimate).  ``warmup`` sizes the minimum detailed window
-(``window = max(2 * warmup, interval // 4)``) so the fast-forward boundary
-(stale dependence ring, leftover in-flight ROB entries) is amortized over
-a long measured region.
+The initial trace warm-up prefix (cold-cache exclusion in full runs)
+participates in the sampling loop at its natural rate, preserving the
+wall-clock staggering with which threads enter their measured regions (an
+accounting boundary keeps prefix cycles and events out of the estimate).
 
-Two sampling policies share this machinery:
-
-* **Periodic** (:class:`SamplingConfig`, :func:`execute_sampled`) — fixed
-  interval and window, chosen up front.  Predictable cost, and the mode
-  the accuracy contract in ``tests/test_sampling.py`` validates knobs for.
-* **Live** (:class:`LiveSamplingConfig`, :func:`execute_sampled_live`) —
-  Pac-Sim-style adaptive sampling: an online *phase detector* compares
-  each detailed window's architectural signature (CPI plus L2/LLC/DRAM
-  and mispredict rates per instruction) against a smoothed reference, and
-  a per-window *error controller* tracks how well the span model would
-  have predicted the window it just measured.  Stable phase and low
-  model error grow the fast-forward span geometrically; a phase change
-  or rising error collapses it, re-sampling the new behaviour
-  immediately.  No interval/warmup knobs to tune per workload — the run
-  spends detail where the trace actually changes.
+The policy (:class:`LiveSamplingConfig`, :func:`execute_sampled_live`):
+an online *phase detector* compares each detailed window's architectural
+signature (CPI plus L2/LLC/DRAM and mispredict rates per instruction)
+against a smoothed reference, and a per-window *error controller* tracks
+how well the span model would have predicted the window it just measured.
+Stable phase and low model error grow the fast-forward span
+geometrically; a phase change or rising error collapses it, re-sampling
+the new behaviour immediately.  There are no interval/warmup knobs to tune
+per workload — the run spends detail where the trace actually changes.
 
 Sampling is an *approximation*: reported per-thread cycle counts are
-estimates (``tests/test_sampling.py`` holds CPI error against full
-simulation on the validation-tier workloads), and cache/mispredict
-counters cover only the detailed windows.  Use full runs when exact
-statistics matter; use sampling to make long validation sweeps cheap.
+estimates (``tests/test_live_sampling.py`` holds chip IPC error against
+full simulation), and cache/mispredict counters cover only the detailed
+windows.  Use full runs when exact statistics matter;
+``docs/performance.md`` records the measured speed and error.
 """
 
 import random
@@ -78,48 +64,11 @@ from repro.sim.core import PipelineCore, SimThread
 
 
 @dataclass(frozen=True)
-class SamplingConfig:
-    """Knobs for sampled simulation.
-
-    Parameters
-    ----------
-    interval:
-        Per-thread instructions in one sampling period (detailed window
-        plus fast-forwarded span).
-    warmup:
-        Sizes the minimum detailed window: the window is at least twice
-        this, so fast-forward boundary artifacts stay a small fraction of
-        every measured region.
-    """
-
-    interval: int
-    warmup: int = 150
-
-    def __post_init__(self) -> None:
-        if self.interval < 1:
-            raise ValueError(f"interval must be >= 1, got {self.interval}")
-        if self.warmup < 0:
-            raise ValueError(f"warmup must be >= 0, got {self.warmup}")
-        if self.window >= self.interval:
-            raise ValueError(
-                f"sampling interval {self.interval} leaves no room to "
-                f"fast-forward past the detailed window ({self.window}); "
-                "use a larger interval or a smaller warmup"
-            )
-
-    @property
-    def window(self) -> int:
-        """Detailed-window length: a quarter of the period, but at least
-        twice the warm-up so boundary artifacts are amortized."""
-        return max(2 * self.warmup, self.interval // 4, 1)
-
-
-@dataclass(frozen=True)
 class LiveSamplingConfig:
     """Knobs for live (adaptive) sampled simulation.
 
-    Unlike :class:`SamplingConfig` there is no per-workload interval to
-    tune: the controller starts cautious (``min_span``) and lets stable,
+    There is no per-workload interval to tune: the controller starts
+    cautious (``min_span``) and lets stable,
     well-predicted behaviour earn longer fast-forwards.
 
     Parameters
@@ -218,7 +167,7 @@ class LiveSamplingConfig:
 
     @property
     def window(self) -> int:
-        """Detailed-window length (same shape as the periodic mode's)."""
+        """Base detailed-window length."""
         return max(2 * self.warmup, self.min_window, 1)
 
 
@@ -290,7 +239,7 @@ class _ThreadSampleState:
         budget: int,
         width: int,
         weights: Tuple[float, float, float, float],
-        boundary: int = 0,
+        boundary: int,
     ):
         self.budget = budget  # post-prefix instructions to account for
         self.width = width
@@ -316,13 +265,13 @@ class _ThreadSampleState:
         #: not estimated (the pipeline runs continuously through them);
         #: fractional at the boundary window.
         self.detailed_cycles = 0.0
-        #: For live sampling: how many windows had closed when each span
-        #: was warmed (parallel to ``spans``) — anchors spans to the
-        #: windows measured around them for phase-local pricing.
+        #: How many windows had closed when each span was warmed (parallel
+        #: to ``spans``) — anchors spans to the windows measured around
+        #: them for phase-local pricing.
         self.span_anchors: List[int] = []
         #: Raw counters of the most recently closed window —
         #: ``(instructions, cycles, l2, llc, dram, mispredicts)`` — for
-        #: the live controller's phase signature; ``None`` until a window
+        #: the controller's phase signature; ``None`` until a window
         #: with instructions closes (cleared when the next one opens).
         self.last_window_events: Optional[
             Tuple[int, int, int, int, int, int]
@@ -421,11 +370,10 @@ class _ThreadSampleState:
     def span_pricer(self) -> Optional[Tuple[float, float]]:
         """The rescaled global ``(base, exposure)`` span-pricing model.
 
-        ``None`` until at least three windows have been measured — the
-        same fit :meth:`estimated_cycles` uses, exposed so the live loop
-        can *pace* functional warming with the model that will later
-        price it (see the model-guided warming note in
-        :func:`execute_sampled_live`).
+        ``None`` until at least three windows have been measured.  The
+        live loop *paces* functional warming with it, so spans are warmed
+        by the same kind of model that later prices them (see the
+        model-guided warming note in :func:`execute_sampled_live`).
         """
         if len(self.windows) < 3:
             return None
@@ -442,45 +390,23 @@ class _ThreadSampleState:
             exposure *= k
         return base, exposure
 
-    def estimated_cycles(self) -> int:
-        """Exact detailed-window cycles plus event-priced span estimates."""
-        span_instr = sum(s[0] for s in self.spans)
-        if span_instr <= 0:
+    def estimated_cycles_local(self) -> int:
+        """Exact detailed-window cycles plus event-priced span estimates,
+        each span priced by the windows measured just around it rather
+        than one global fit.
+
+        When the phase detector has seen the behaviour change across the
+        run, a single global model misprices the spans inside each phase
+        (it blends phases that never coexist); the windows bracketing a
+        span were measured in the *same* phase, so a local fit — degrading
+        to plain local CPI when too few windows are in reach — prices it
+        far more faithfully.  Each fit is rescaled to reproduce its
+        windows' measured total, so systematic misfit cancels between
+        windows and spans.
+        """
+        if not self.spans:
             # Everything in the measured region was detailed.
             return max(1, int(round(self.detailed_cycles)))
-        measured_instr = sum(w[0] for w in self.windows)
-        measured_cycles = sum(w[1] for w in self.windows)
-        measured_score = sum(w[2] for w in self.windows)
-        if measured_instr <= 0:
-            # Degenerate: no window recorded any instructions; assume one
-            # cycle per skipped instruction.
-            return max(1, int(round(self.detailed_cycles + span_instr)))
-        base, exposure = _fit_model(self.windows, floor=0.5 / self.width)
-        # Rescale so the model reproduces the measured totals exactly: any
-        # systematic misfit then cancels between windows and spans.
-        predicted = base * measured_instr + exposure * measured_score
-        if predicted > 0.0:
-            k = measured_cycles / predicted
-            base *= k
-            exposure *= k
-        estimate = float(self.detailed_cycles)
-        for instr, score in self.spans:
-            estimate += base * instr + exposure * score
-        return max(1, int(round(estimate)))
-
-    def estimated_cycles_local(self) -> int:
-        """Like :meth:`estimated_cycles`, but each span is priced by the
-        windows measured just around it rather than one global fit.
-
-        Live sampling's estimator: when the phase detector has seen the
-        behaviour change across the run, a single global model misprices
-        the spans inside each phase (it blends phases that never coexist);
-        the windows bracketing a span were measured in the *same* phase,
-        so a local fit — degrading to plain local CPI when too few
-        windows are in reach — prices it far more faithfully.
-        """
-        if not self.spans or len(self.span_anchors) != len(self.spans):
-            return self.estimated_cycles()
         measured_instr = sum(w[0] for w in self.windows)
         if measured_instr <= 0:
             return max(
@@ -570,78 +496,6 @@ def _fit_model(
         total_c = sum(w[1] for w in windows)
         return (total_c / total_i if total_i else 1.0, 0.0)
     return _solve(windows, floor)
-
-
-def execute_sampled(
-    hierarchy: MemoryHierarchy,
-    cores: List[PipelineCore],
-    config: SamplingConfig,
-    max_cycles: int = 50_000_000,
-) -> Tuple[List[Tuple[int, SimThread]], int]:
-    """Run prepared cores in sampled mode.
-
-    Returns ``(threads, total_cycles)`` where ``threads`` flattens
-    ``(core_index, SimThread)`` in core order with each thread's ``stats``
-    rewritten to the sampled estimate: ``instructions`` is the full
-    post-prefix budget and ``cycles`` the estimated total, so
-    ``stats.ipc``/``stats.cpi`` are directly comparable to a full run.
-    """
-    window = config.window
-    ff_span = config.interval - window
-    states: Dict[int, _ThreadSampleState] = {}
-
-    # Phase 0: functional warming stands in for the trace warm-up prefix
-    # (its events are not part of the measured budget), and the full-run
-    # snapshot machinery is neutralized — sampling does its own
-    # detailed-window accounting.
-    for core in cores:
-        prefix = core.threads[0].warmup_instructions
-        if prefix:
-            core.functional_warm(prefix)
-        weights = _event_weights(core)
-        for thread in core.threads:
-            states[id(thread)] = _ThreadSampleState(
-                budget=thread.trace_len - thread.cursor,
-                width=core.core.width,
-                weights=weights,
-            )
-            thread._warm_snapshot = (0, 0, 0, {})
-
-    while True:
-        _run_window(cores, states, window, max_cycles)
-        # Keep the lockstep clock coherent across cores between phases.
-        clock = max(core.cycle for core in cores)
-        for core in cores:
-            core.cycle = clock
-        if all(
-            thread.cursor >= thread.trace_len
-            for core in cores
-            for thread in core.threads
-        ):
-            break
-        for core in cores:
-            counts = core.functional_warm(ff_span)
-            for thread, (warmed, l2, llc, dram, mispred) in zip(
-                core.threads, counts
-            ):
-                if warmed:
-                    state = states[id(thread)]
-                    state.spans.append(
-                        (warmed, state.stall_score(l2, llc, dram, mispred))
-                    )
-
-    flat: List[Tuple[int, SimThread]] = []
-    total_cycles = 1
-    for core in cores:
-        for thread in core.threads:
-            state = states[id(thread)]
-            stats = thread.stats
-            stats.instructions = state.budget
-            stats.cycles = state.estimated_cycles()
-            if stats.cycles > total_cycles:
-                total_cycles = stats.cycles
-            flat.append((core.core_index, thread))
-    return flat, total_cycles
 
 
 #: Relative-difference floors per signature component — CPI first, then
@@ -850,9 +704,11 @@ def execute_sampled_live(
 ) -> Tuple[List[Tuple[int, SimThread]], int, LiveSamplingDiagnostics]:
     """Run prepared cores in live (adaptive) sampled mode.
 
-    Same contract as :func:`execute_sampled` — returns flattened
-    ``(core_index, SimThread)`` pairs with estimated stats and the chip
-    cycle total — plus a :class:`LiveSamplingDiagnostics` describing what
+    Returns flattened ``(core_index, SimThread)`` pairs in core order, each
+    thread's ``stats`` rewritten to the sampled estimate (``instructions``
+    is the full post-prefix budget and ``cycles`` the estimated total, so
+    ``stats.ipc``/``stats.cpi`` compare directly with a full run), the chip
+    cycle total, and a :class:`LiveSamplingDiagnostics` describing what
     the controller did.  Cores stay in lockstep: every round runs one
     detailed window on all unfinished cores, then fast-forwards the whole
     chip by the *most cautious* thread's span (a thread entering a new
@@ -865,11 +721,11 @@ def execute_sampled_live(
     states: Dict[int, _ThreadSampleState] = {}
     controllers: Dict[int, LiveController] = {}
 
-    # The warm-up prefix is *not* skipped up front (as the periodic mode
-    # does): each thread crosses into its measured region at a different
-    # wall-clock time in a full run — fast threads drain entirely before
-    # slow threads' measured regions begin — and that staggering shapes
-    # every shared-resource interaction.  The prefix simply participates
+    # The warm-up prefix is *not* skipped up front: each thread crosses
+    # into its measured region at a different wall-clock time in a full
+    # run — fast threads drain entirely before slow threads' measured
+    # regions begin — and that staggering shapes every shared-resource
+    # interaction.  The prefix simply participates
     # in the live loop at its natural rate (windows train the model and
     # controller; spans may skip it once the model has earned trust), and
     # the accounting boundary keeps its cycles out of the estimate.
@@ -883,9 +739,8 @@ def execute_sampled_live(
                 boundary=thread.warmup_instructions,
             )
             controllers[id(thread)] = LiveController(config)
-            # The snapshot machinery stays live (unlike the periodic
-            # mode): it records the exact cycle each thread crosses its
-            # accounting boundary mid-window.
+            # The snapshot machinery stays live: it records the exact
+            # cycle each thread crosses its accounting boundary mid-window.
 
     rng = random.Random(config.jitter_seed)  # deterministic, reproducible
     n_threads = sum(len(core.threads) for core in cores)
@@ -1067,10 +922,10 @@ def _run_window_cycles(
     max_cycles: int,
 ) -> None:
     """Simulate one detailed window of ``span_cycles`` *cycles* on every
-    core — the live mode's window runner.
+    core.
 
-    Unlike :func:`_run_window`'s per-thread instruction quotas, every
-    core runs until the same bell rings, so no core ever freezes while
+    Rather than per-thread instruction quotas, every core runs until the
+    same bell rings, so no core ever freezes while
     another finishes its quota.  Heterogeneous chips make this matter: a
     solo thread on a medium core clears an instruction quota several
     times faster than an SMT pair on a big core, and pausing it would
@@ -1121,61 +976,3 @@ def _run_window_cycles(
     for core in cores:
         for thread in core.threads:
             states[id(thread)].close_window(thread, core.cycle)
-
-
-def _run_window(
-    cores: List[PipelineCore],
-    states: Dict[int, _ThreadSampleState],
-    window: int,
-    max_cycles: int,
-) -> None:
-    """Simulate one detailed window on every core with unfinished threads.
-
-    A core leaves the window once each of its threads has dispatched
-    ``window`` instructions since the window started; a thread whose trace
-    drains mid-window keeps its core stepping until the ROB empties, so
-    the drain cycles are counted exactly as a full run would count them.
-    """
-    active: List[PipelineCore] = []
-    for core in cores:
-        pending = False
-        for thread in core.threads:
-            states[id(thread)].open_window(thread, core.cycle)
-            if thread.cursor < thread.trace_len or thread.rob:
-                pending = True
-        if pending:
-            active.append(core)
-
-    events = [c.next_event_cycle() for c in active]
-    while active:
-        target = min(events)
-        if target >= max_cycles:
-            raise RuntimeError(
-                f"sampled simulation exceeded {max_cycles} cycles "
-                "without draining"
-            )
-        next_active: List[PipelineCore] = []
-        next_events: List[int] = []
-        for i, core in enumerate(active):
-            if events[i] > target:
-                next_active.append(core)
-                next_events.append(events[i])
-                continue
-            core.cycle = target
-            core.step()
-            window_done = True
-            for thread in core.threads:
-                state = states[id(thread)]
-                if thread.cursor < thread.trace_len:
-                    if thread.cursor - state.window_start < window:
-                        window_done = False
-                elif thread.rob:
-                    window_done = False
-            if window_done:
-                for thread in core.threads:
-                    states[id(thread)].close_window(thread, core.cycle)
-                continue
-            next_active.append(core)
-            next_events.append(core.next_event_cycle())
-        active = next_active
-        events = next_events

@@ -2,7 +2,7 @@
 
 Every scenario the fault-tolerance layer claims to survive is exercised
 here deterministically through :mod:`repro.engine.faults`: raising units,
-killed workers (``BrokenProcessPool``), retry-then-succeed, per-unit
+killed workers (respawned alone), retry-then-succeed, per-unit
 timeouts, store I/O errors and unwritable cache directories.
 """
 
@@ -176,23 +176,6 @@ class TestRetryThenSucceed:
 
 
 class TestKilledWorker:
-    def test_broken_pool_recovery(self, no_fault_results):
-        """A worker dying mid-batch loses nothing and kills no result."""
-        faults.install("kill:benchmark=mcf")
-        executor = ParallelExecutor(jobs=2, chunksize=1, pool="per-call")
-        outcomes = executor.map(single_units())
-        assert executor.broken_pools >= 1
-        assert all(o.ok for o in outcomes)
-        assert [o.value for o in outcomes] == no_fault_results
-
-    def test_engine_counts_broken_pools(self, no_fault_results):
-        faults.install("kill:benchmark=mcf")
-        engine = Engine(jobs=2, chunksize=1, pool="per-call")
-        results = engine.evaluate(single_units())
-        assert results == no_fault_results
-        assert engine.stats.broken_pools >= 1
-        assert engine.stats.units_failed == 0
-
     def test_kill_fault_never_fires_in_parent(self):
         """The guard that keeps serial re-execution from killing the CLI."""
         faults.install("kill:benchmark=mcf")
@@ -211,7 +194,6 @@ class TestKilledWorkerPersistent:
         try:
             outcomes = executor.map(single_units())
             assert executor.worker_respawns >= 1
-            assert executor.broken_pools == 0  # no whole-pool teardown
             assert all(o.ok for o in outcomes)
             assert [o.value for o in outcomes] == no_fault_results
             # The pool is still fully staffed after the respawn.
@@ -226,7 +208,6 @@ class TestKilledWorkerPersistent:
             results = engine.evaluate(single_units())
             assert results == no_fault_results
             assert engine.stats.worker_respawns >= 1
-            assert engine.stats.broken_pools == 0
             assert engine.stats.units_failed == 0
             assert "respawn" in engine.stats.formatted()
         finally:

@@ -431,17 +431,16 @@ class TestServeDaemon:
                     result = client.sweep([DESIGN], "homogeneous", 1)
                 assert result["mean_stp"][DESIGN]["1"] > 0
                 # The mcf-bearing units killed at least one worker; the
-                # engine respawned it individually (no whole-pool
-                # teardown) and recovered every point.
+                # engine respawned it individually and recovered every
+                # point.
                 assert handle.server.engine.stats.worker_respawns >= 1
-                assert handle.server.engine.stats.broken_pools == 0
                 assert handle.server.engine.stats.units_failed == 0
         finally:
             faults.reset()
 
     def test_warm_pool_is_reused_across_jobs(self, tmp_path):
-        """Two back-to-back jobs run on the same worker pids: the pool is
-        an engine property, not a per-call accident."""
+        """Two back-to-back jobs run on the same worker pids: the pool
+        outlives each job."""
         with make_handle(tmp_path, jobs=2, slab_size=4) as handle:
             with ServeClient(handle.address) as client:
                 client.sweep([DESIGN], "homogeneous", 2)

@@ -1,7 +1,11 @@
-"""Fast-path correctness: idle-cycle skipping is bit-identical, and the
-fetch/issue micro-optimizations preserve the modelled semantics."""
+"""Fast-path correctness: full and live runs reproduce committed
+fingerprints, idle-cycle skipping and the batched kernel are bit-identical
+to their references, and the fetch/issue micro-optimizations preserve the
+modelled semantics."""
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +86,60 @@ GOLDEN_CONFIGS = [
 ]
 
 
+#: Fingerprints recorded from a known-good build (floats kept exact by JSON).
+FROZEN = json.loads(
+    (Path(__file__).parent / "data" / "sim_fingerprints.json").read_text()
+)
+
+#: 4-thread chip mixes at 6,000 instructions, run full and live-sampled.
+CHIP_MIXES = [
+    ("4B", [("lbm", 0), ("milc", 1), ("tonto", 2), ("hmmer", 3)]),
+    ("3B2m", [("mcf", 0), ("gobmk", 0), ("libquantum", 1), ("gamess", 3)]),
+    ("2B10s", [("mcf", 0), ("lbm", 1), ("tonto", 2), ("astar", 2)]),
+]
+
+
+def _threads(specs):
+    return [ThreadSim(get_profile(name), core_index=idx) for name, idx in specs]
+
+
+def _frozen(result):
+    """``_fingerprint`` as it reads back from JSON (tuples become lists)."""
+    return json.loads(json.dumps(_fingerprint(result)))
+
+
+class TestFrozenFingerprints:
+    """Runs must reproduce the committed fingerprints exactly.
+
+    The other classes compare two implementations run side by side, so a
+    change that moves both at once would pass them; these pin the numbers.
+    CI runs this file under each ``REPRO_SIM_KERNEL`` value.
+    """
+
+    @pytest.mark.parametrize(
+        "name,design,specs,policy", GOLDEN_CONFIGS, ids=[c[0] for c in GOLDEN_CONFIGS]
+    )
+    def test_golden_config(self, name, design, specs, policy):
+        sim = MulticoreSimulator(design, fetch_policy=policy)
+        hierarchy, cores = sim.prepare(_threads(specs), instructions_per_thread=2500)
+        assert _frozen(sim.execute(hierarchy, cores)) == FROZEN["golden"][name]
+
+    def test_shared_llc_design(self):
+        sim = MulticoreSimulator(get_design("8m"))
+        specs = [("mcf", 0), ("libquantum", 1), ("milc", 2), ("lbm", 3)]
+        hierarchy, cores = sim.prepare(_threads(specs), instructions_per_thread=1500)
+        frozen = FROZEN["golden"]["shared-llc-8m"]
+        assert _frozen(sim.execute(hierarchy, cores)) == frozen
+
+    @pytest.mark.parametrize("mode", ["full", "live"])
+    @pytest.mark.parametrize("design,specs", CHIP_MIXES, ids=[c[0] for c in CHIP_MIXES])
+    def test_chip_mix(self, design, specs, mode):
+        result = MulticoreSimulator(get_design(design)).run(
+            _threads(specs), 6000, sampling="live" if mode == "live" else None
+        )
+        assert _frozen(result) == FROZEN["chips"][f"{design}-{mode}"]
+
+
 class TestIdleSkipGolden:
     """Fast-forwarded runs must be *bit-identical* to naive ones."""
 
@@ -94,10 +152,7 @@ class TestIdleSkipGolden:
         fingerprints = []
         for fast_forward in (True, False):
             sim = MulticoreSimulator(design, fetch_policy=policy)
-            threads = [
-                ThreadSim(get_profile(name), core_index=idx) for name, idx in specs
-            ]
-            hierarchy, cores = sim.prepare(threads, instructions_per_thread=2500)
+            hierarchy, cores = sim.prepare(_threads(specs), 2500)
             result = sim.execute(hierarchy, cores, fast_forward=fast_forward)
             fingerprints.append(_fingerprint(result))
         assert fingerprints[0] == fingerprints[1]
@@ -159,10 +214,7 @@ class TestKernelEquivalence:
         fingerprints = []
         for kernel in ("scalar", "numpy"):
             sim = MulticoreSimulator(design, fetch_policy=policy, kernel=kernel)
-            threads = [
-                ThreadSim(get_profile(name), core_index=idx) for name, idx in specs
-            ]
-            hierarchy, cores = sim.prepare(threads, instructions_per_thread=2500)
+            hierarchy, cores = sim.prepare(_threads(specs), 2500)
             result = sim.execute(hierarchy, cores)
             fingerprints.append(_fingerprint(result))
         assert fingerprints[0] == fingerprints[1]
