@@ -20,7 +20,6 @@ Because per-thread IPC determines traffic and traffic determines latency,
 the solver iterates to a fixed point with damping.
 """
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -48,21 +47,6 @@ MAX_UTILIZATION = 0.98
 #: Bisection controls for the latency fixed point.
 BISECTION_STEPS = 40
 CONVERGENCE_NS = 0.01
-
-#: Solver selection: ``vector`` (default) runs the NumPy batch kernel with
-#: scalar endpoint evaluations, ``scalar`` forces the golden reference
-#: implementation, ``verify`` runs both and asserts bit-identical results.
-SOLVER_ENV = "REPRO_INTERVAL_SOLVER"
-
-
-def _solver_mode() -> str:
-    mode = os.environ.get(SOLVER_ENV, "vector")
-    if mode not in ("vector", "scalar", "verify"):
-        raise ValueError(
-            f"{SOLVER_ENV} must be 'vector', 'scalar' or 'verify', got {mode!r}"
-        )
-    return mode
-
 
 @dataclass(frozen=True)
 class ThreadSpec:
@@ -337,7 +321,7 @@ class ChipModel:
         plus solver counters and per-component CPI histograms.
         """
         if not TRACER.enabled and not METRICS.enabled:
-            return self._dispatch_solve(placement, smt, mem_latency_hint_ns)
+            return self._solve_vectorized(placement, smt, mem_latency_hint_ns)
         with TRACER.span(
             "interval.model",
             cat="interval",
@@ -345,7 +329,7 @@ class ChipModel:
             threads=placement.num_threads,
             smt=smt,
         ) as span:
-            result = self._dispatch_solve(placement, smt, mem_latency_hint_ns)
+            result = self._solve_vectorized(placement, smt, mem_latency_hint_ns)
             span.set(
                 iterations=result.iterations,
                 mem_latency_ns=round(result.mem_latency_ns, 3),
@@ -354,19 +338,6 @@ class ChipModel:
         if METRICS.enabled:
             self._record_metrics(result)
         return result
-
-    def _dispatch_solve(
-        self, placement: Placement, smt: bool, hint: Optional[float]
-    ) -> ChipResult:
-        """Route to the solver implementation selected by $REPRO_INTERVAL_SOLVER."""
-        mode = _solver_mode()
-        if mode == "scalar":
-            return self._solve(placement, smt)
-        if mode == "verify":
-            vector = self._solve_vectorized(placement, smt, hint)
-            _assert_solver_parity(vector, self._solve(placement, smt))
-            return vector
-        return self._solve_vectorized(placement, smt, hint)
 
     def _record_metrics(self, result: ChipResult) -> None:
         """Solver counters and CPI-component histograms for one solve.
@@ -386,12 +357,12 @@ class ChipModel:
                     METRICS.observe(f"interval.cpi.{component}", value)
 
     def _solve(self, placement: Placement, smt: bool = True) -> ChipResult:
-        """Golden scalar reference solver (pure-Python fixed point).
+        """Scalar reference solver (pure-Python fixed point).
 
-        The vectorized solver (:meth:`_solve_vectorized`) is bit-identical
-        to this by construction and by test; this path stays in the tree as
-        the reference, as the ICOUNT-SMT fallback and as the
-        ``$REPRO_INTERVAL_SOLVER=scalar`` escape hatch.
+        Production runs :meth:`_solve_vectorized`, which is bit-identical to
+        this by construction.  This path stays as the test oracle:
+        ``tests/test_interval_vectorized.py`` compares the vectorized solver
+        against it on the figure grid and on hypothesis-drawn placements.
         """
         placement.validate_against(self.design, smt)
         llc_lat_ns = self._llc_latency_ns
@@ -1080,16 +1051,6 @@ def _observe_bisection_metrics(solves: Sequence[_ActiveSolve]) -> None:
         METRICS.observe("interval.solver.evals", float(s.evals))
 
 
-def _assert_solver_parity(vector: ChipResult, scalar: ChipResult) -> None:
-    if vector != scalar:
-        raise AssertionError(
-            f"vectorized solver diverged from the scalar reference on "
-            f"{scalar.design_name}: mem_latency_ns {vector.mem_latency_ns!r} "
-            f"vs {scalar.mem_latency_ns!r}, iterations {vector.iterations} "
-            f"vs {scalar.iterations}"
-        )
-
-
 def evaluate_batch(
     requests: Sequence[
         Tuple[ChipModel, Placement, bool, Optional[float]]
@@ -1102,15 +1063,8 @@ def evaluate_batch(
     requests and bit-identical to calling ``model.evaluate(...)`` per point
     — per-point spans (``interval.model``, ``interval.cache-shares``) and
     metrics are preserved; the lockstep bisection itself runs under a
-    single shared ``interval.dram-contention`` span.  Honors
-    ``$REPRO_INTERVAL_SOLVER`` like :meth:`ChipModel.evaluate`.
+    single shared ``interval.dram-contention`` span.
     """
-    mode = _solver_mode()
-    if mode == "scalar":
-        return [
-            model.evaluate(placement, smt)
-            for model, placement, smt, _hint in requests
-        ]
     instrumented = TRACER.enabled or METRICS.enabled
     solves: List[_ActiveSolve] = []
     for model, placement, smt, hint in requests:
@@ -1151,7 +1105,4 @@ def evaluate_batch(
         if METRICS.enabled:
             model._record_metrics(result)
         results.append(result)
-    if mode == "verify":
-        for (model, placement, smt, _hint), result in zip(requests, results):
-            _assert_solver_parity(result, model._solve(placement, smt))
     return results

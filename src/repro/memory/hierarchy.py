@@ -203,9 +203,9 @@ class MemoryHierarchy:
         """The L2-and-beyond data path, after the caller has already probed
         (and allocated the line into) the core's L1D.
 
-        Split out of :meth:`data_access` so the batched stepping kernel
-        (:mod:`repro.sim.kernel`) can inline the L1D lookup against
-        precomputed set/tag arrays and fall through here only on a miss.
+        Split out of :meth:`data_access` so the cycle tier's stepping loop
+        can inline the L1D lookup against precomputed set/tag arrays
+        (:mod:`repro.sim.kernel`) and fall through here only on a miss.
         """
         caches = self.core_caches[core_index]
         if caches.l2.access(address, is_write):

@@ -21,19 +21,22 @@ Memory latencies come from the shared :class:`~repro.memory.hierarchy.
 MemoryHierarchy`, so co-running threads and other cores contend for L2/LLC
 capacity, DRAM banks and the off-chip bus with real state.
 
-Two fast paths keep this tier usable for cross-validation sweeps without
-changing a single reported number:
+Two fast paths keep this tier usable for cross-validation sweeps:
 
-* the per-cycle work loops bind hot attributes to locals, the functional-
-  unit issue probe hops a path-compressed next-free-cycle skip list instead
-  of scanning cycle by cycle, and producer completion times live in a flat
-  ring buffer;
+* the per-cycle work loop reads each thread's trace as precomputed flat
+  per-field arrays (:mod:`repro.sim.kernel`), binds hot attributes to
+  locals, hops a path-compressed next-free-cycle skip list to find a free
+  functional unit, and keeps producer completion times in a flat ring
+  buffer;
 * **idle-cycle skipping** (:meth:`PipelineCore.next_event_cycle`): when no
   thread can commit, dispatch or finish before some cycle T, the clock
-  advances straight to T.  The skip is *exact* — between the current cycle
-  and T the naive loop would not change any architectural or statistical
-  state — so fast-forwarded runs are bit-identical to naive ones (a golden
-  test asserts this across core types and fetch policies).
+  advances straight to T.  The skip is *exact*: between the current cycle
+  and T a step would change no architectural or statistical state.
+
+:func:`run_lockstep` is the one driver: full runs, :meth:`PipelineCore.run`
+and the detailed windows of live sampling all step cores through it.  The
+committed fingerprints in ``tests/data/sim_fingerprints.json`` pin what it
+produces.
 """
 
 from collections import deque
@@ -42,24 +45,13 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.microarch.branch import predictor_for_core
 from repro.microarch.config import CoreConfig
-from repro.sim.kernel import FU_CLASSES, TraceArrays, active_kernel, build_trace_arrays
+from repro.sim.kernel import FU_CLASSES, TraceArrays, build_trace_arrays
 from repro.sim.results import CoreSimStats
-from repro.workloads.tracegen import EXEC_LATENCY, TraceInstruction
+from repro.workloads.tracegen import TraceInstruction
 
 #: Ring size for producer completion-time tracking (max dependence distance).
 _DEP_WINDOW = 64
 _DEP_MASK = _DEP_WINDOW - 1
-
-#: Functional-unit class per instruction kind (int ops and branches share
-#: the integer ALUs).
-_FU_CLASS = {
-    "int": "int",
-    "branch": "int",
-    "load": "ldst",
-    "store": "ldst",
-    "muldiv": "muldiv",
-    "fp": "fp",
-}
 
 #: Issue-slot tables are pruned once they hold this many distinct cycles.
 _FU_PRUNE_LIMIT = 4096
@@ -96,13 +88,9 @@ class SimThread:
         self.fetch_stalled_until = 0
         self.last_fetch_line = -1
         self.done_cycle: Optional[int] = None
-        #: Batched per-field trace arrays, installed by the owning core when
-        #: the numpy kernel is active (see :mod:`repro.sim.kernel`).
+        #: Batched per-field trace arrays, installed by the owning core
+        #: (see :mod:`repro.sim.kernel`).
         self._k: Optional[TraceArrays] = None
-
-    @property
-    def finished(self) -> bool:
-        return self.cursor >= self.trace_len and not self.rob
 
     def maybe_snapshot(self, now: int) -> None:
         """Record the warm-up boundary so cold misses are excluded."""
@@ -138,12 +126,6 @@ class SimThread:
         c = self._comp_ring[(self._comp_count - dep_distance) & _DEP_MASK]
         return c if c > now else now
 
-    def record_completion(self, completion: int) -> None:
-        """Append one dispatched instruction's completion cycle."""
-        count = self._comp_count
-        self._comp_ring[count & _DEP_MASK] = completion
-        self._comp_count = count + 1
-
 
 class PipelineCore:
     """One core (out-of-order or in-order) executing up to N SMT threads."""
@@ -156,7 +138,6 @@ class PipelineCore:
         traces: Sequence[Sequence[TraceInstruction]],
         warmup_instructions: int = 0,
         fetch_policy: str = "roundrobin",
-        kernel: Optional[str] = None,
     ):
         if fetch_policy not in ("roundrobin", "icount"):
             raise ValueError(
@@ -184,55 +165,39 @@ class PipelineCore:
         self._is_ooo = core.is_out_of_order
         self._width = core.width
         self._freq = core.frequency_ghz
-        #: Instruction fetches dedup at the core's own L1I line granularity.
-        self._l1i_line_bytes = core.l1i.line_bytes
         self._rob_share = (
             core.rob_size // len(self.threads) if core.is_out_of_order else core.width * 2
         )
         fu = core.functional_units
-        #: Per-cycle issue-slot usage per functional-unit class.  Issue picks
-        #: the first cycle >= ready with a free slot (hole-filling, so an
-        #: instruction that becomes ready early is not blocked behind
-        #: reservations made for later-ready instructions — proper
-        #: out-of-order issue).
-        self._fu_units: Dict[str, int] = {
+        units = {
             "int": fu.int_alu,
             "ldst": fu.load_store,
             "muldiv": fu.mul_div,
             "fp": fu.fp,
         }
-        self._fu_busy: Dict[str, Dict[int, int]] = {k: {} for k in self._fu_units}
+        #: Units per functional-unit class, indexed by the class codes of
+        #: :data:`~repro.sim.kernel.FU_CLASSES`.
+        self._fu_units: List[int] = [units[c] for c in FU_CLASSES]
+        #: Per-cycle issue-slot usage per class.  Issue picks the first
+        #: cycle >= ready with a free slot (hole-filling, so an instruction
+        #: that becomes ready early is not blocked behind reservations made
+        #: for later-ready instructions — proper out-of-order issue).
+        self._fu_busy: List[Dict[int, int]] = [{} for _ in FU_CLASSES]
         #: Next-free-cycle skip list per class: for a saturated cycle ``c``,
-        #: ``_fu_next[cls][c]`` points at the next cycle that might still
+        #: ``_fu_next[code][c]`` points at the next cycle that might still
         #: have a free slot (path-compressed as probes walk it).
-        self._fu_next: Dict[str, Dict[int, int]] = {k: {} for k in self._fu_units}
-        #: Which stepping kernel this core runs ("numpy" or "scalar"); both
-        #: are bit-identical (golden-tested).  See :mod:`repro.sim.kernel`.
-        self.kernel = active_kernel(kernel)
-        if self.kernel == "numpy":
-            self._install_numpy_kernel()
+        self._fu_next: List[Dict[int, int]] = [{} for _ in FU_CLASSES]
 
-    def _install_numpy_kernel(self) -> None:
-        """Precompute batched trace arrays and bind the fused step loop.
-
-        The string-keyed ``_fu_units``/``_fu_busy``/``_fu_next`` dicts stay
-        canonical (unit tests and :meth:`_prune_fu_state` use them); the
-        code-indexed lists below alias the *same* dict objects, so both
-        kernels share one set of issue-slot tables and pruning keeps
-        working in place.
-        """
-        caches = self.hierarchy.core_caches[self.core_index]
-        l1d = caches.l1d
-        self._l1d = l1d
+        l1d = hierarchy.core_caches[core_index].l1d
         for thread in self.threads:
+            # Instruction fetches dedup at the core's own L1I line size.
             k = build_trace_arrays(
-                thread.trace, self._l1i_line_bytes, l1d._line_bytes, l1d._num_sets
+                thread.trace, core.l1i.line_bytes, l1d._line_bytes, l1d._num_sets
             )
             thread._k = k
             # Per-thread hot bindings for the fused loops, packed into one
             # tuple (single unpack per thread entry).  Every object here
-            # keeps its identity for the thread's lifetime — including the
-            # completion ring, which reset_pipeline_state clears in place.
+            # keeps its identity for the thread's lifetime.
             thread._kctx = (
                 k.exec_lat,
                 k.fu_code,
@@ -251,66 +216,49 @@ class PipelineCore:
                 thread.predictor.update,
                 thread.warmup_instructions,
             )
-        self._fu_units_by_code = [self._fu_units[c] for c in FU_CLASSES]
-        self._fu_busy_by_code = [self._fu_busy[c] for c in FU_CLASSES]
-        self._fu_next_by_code = [self._fu_next[c] for c in FU_CLASSES]
-        #: With prefetchers installed every data access (hits included) must
-        #: flow through the hierarchy so the prefetcher observes it; without
-        #: them the L1D lookup is inlined against precomputed set/tag.
-        self._inline_l1 = not self.hierarchy._has_prefetchers
-        #: Same expression the scalar path evaluates per L1 load hit
-        #: (``int(result.latency_ns * freq)``), computed once.
-        self._l1_load_cycles = int(
-            self.hierarchy._d_l1[self.core_index].latency_ns * self._freq
-        )
-        #: Hot bindings for :meth:`_step_numpy`, packed into one tuple so
-        #: each step pays a single attribute load + unpack instead of ~16
-        #: attribute chains.  Everything here is stable for the core's
-        #: lifetime (the FU tables are compacted in place, never replaced).
-        hierarchy = self.hierarchy
+        #: Hot bindings for :meth:`step`, packed into one tuple so each step
+        #: pays a single attribute load + unpack instead of ~13 attribute
+        #: chains.  Everything here is stable for the core's lifetime.  With
+        #: prefetchers installed every data access (hits included) must flow
+        #: through the hierarchy so the prefetcher observes it; without them
+        #: the L1D lookup is inlined against precomputed set/tag.  No entry
+        #: may refer back to the core: a cycle would keep every finished
+        #: core, and the hierarchy and traces it holds, alive until the
+        #: cyclic garbage collector runs.
         self._step_ctx = (
             hierarchy.instruction_access,
             hierarchy.data_access,
             hierarchy.data_l1_miss,
             hierarchy.demand_counts,
-            self._inline_l1,
+            not hierarchy._has_prefetchers,
             l1d,
             l1d._sets,
             l1d.stats,
             l1d._assoc,
             l1d._num_sets,
             l1d._line_bytes,
-            self._l1_load_cycles,
-            self._fu_units_by_code,
-            self._fu_busy_by_code,
-            self._fu_next_by_code,
-            self.core.frontend_depth,
+            int(hierarchy._d_l1[core_index].latency_ns * self._freq),
+            core.frontend_depth,
         )
-        self.step = self._step_numpy  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------ #
-    # helpers                                                             #
+    # functional-unit issue                                               #
     # ------------------------------------------------------------------ #
 
-    def _now_ns(self) -> float:
-        return self.cycle / self._freq
-
-    def _fu_class(self, kind: str) -> str:
-        return _FU_CLASS.get(kind, "int")
-
-    def _acquire_fu(self, kind: str, ready: int) -> int:
-        """Earliest cycle >= ``ready`` with a free unit of this class."""
-        cls = _FU_CLASS[kind]
-        units = self._fu_units[cls]
-        busy = self._fu_busy[cls]
+    def _acquire_fu(self, fu: int, ready: int, now: int) -> int:
+        """Reserve the earliest cycle >= ``ready`` with a free unit of class
+        ``fu`` (an index into :data:`~repro.sim.kernel.FU_CLASSES`);
+        ``now`` is the current cycle, below which tables may be pruned."""
+        busy = self._fu_busy[fu]
         if len(busy) > _FU_PRUNE_LIMIT:
-            self._prune_fu_state()
+            self._prune_fu_state(now)
+        units = self._fu_units[fu]
         t = ready
         used = busy.get(t, 0)
         if used >= units:
             # Saturated: hop the next-free skip list (union-find style with
             # path compression) instead of probing one cycle at a time.
-            nxt = self._fu_next[cls]
+            nxt = self._fu_next[fu]
             path = []
             while used >= units:
                 path.append(t)
@@ -321,55 +269,37 @@ class PipelineCore:
         busy[t] = used + 1
         return t
 
-    def _prune_fu_state(self) -> None:
-        """Drop issue-slot bookkeeping for cycles already in the past.
+    def _prune_fu_state(self, now: int) -> None:
+        """Drop issue-slot bookkeeping for cycles before ``now``.
 
         Triggered by table *size* (not a wall-cycle stride), so long memory
         stalls cannot accumulate unbounded state; the tables are compacted
-        in place.  Reservations at cycles < ``self.cycle`` can never be
-        probed again (issue ready times are always >= the current cycle),
-        so dropping them never changes an issue decision.
+        in place.  Reservations at cycles < ``now`` can never be probed
+        again (issue ready times are always >= the current cycle), so
+        dropping them never changes an issue decision.
         """
-        now = self.cycle
-        for cls, busy in self._fu_busy.items():
+        for busy, nxt in zip(self._fu_busy, self._fu_next):
             if len(busy) <= _FU_PRUNE_LIMIT // 2:
                 continue
             kept = {c: n for c, n in busy.items() if c >= now}
             busy.clear()
             busy.update(kept)
-            nxt = self._fu_next[cls]
             kept_next = {c: t for c, t in nxt.items() if c >= now}
             nxt.clear()
             nxt.update(kept_next)
-
-    def _fetch_line(self, thread: SimThread, instr: TraceInstruction) -> None:
-        """Model instruction-cache behaviour at cache-line granularity."""
-        line = instr.pc // self._l1i_line_bytes
-        if line == thread.last_fetch_line:
-            return
-        thread.last_fetch_line = line
-        self._fetch_miss(thread, instr.pc)
-
-    def _fetch_miss(self, thread: SimThread, pc: int) -> None:
-        """Charge the i-cache for a new fetch line (slow path)."""
-        result = self.hierarchy.instruction_access(
-            self.core_index, pc, self.cycle / self._freq
-        )
-        if result.level != "l1":
-            # The front end runs ahead and next-line-prefetches sequential
-            # code, hiding most of an i-miss behind the fetch buffer; only a
-            # fraction of the latency reaches dispatch.
-            delay = int(result.latency_ns * self._freq * 0.4) + 1
-            stalled = self.cycle + delay
-            if stalled > thread.fetch_stalled_until:
-                thread.fetch_stalled_until = stalled
 
     # ------------------------------------------------------------------ #
     # one cycle                                                           #
     # ------------------------------------------------------------------ #
 
     def step(self) -> None:
-        """Advance the core by one cycle (commit, then dispatch)."""
+        """Advance the core by one cycle (commit, then dispatch).
+
+        The dispatch loop reads the precomputed per-field arrays
+        (:class:`~repro.sim.kernel.TraceArrays`) instead of trace objects,
+        inlines producer lookup and (without prefetchers) the L1D probe,
+        and keeps per-thread state in locals, written back once per thread.
+        """
         now = self.cycle
         width = self._width
         threads = self.threads
@@ -406,144 +336,10 @@ class PipelineCore:
             order = threads[start:] + threads[:start]
         rob_share = self._rob_share
         is_ooo = self._is_ooo
-        dispatch = self._dispatch
-        for thread in order:
-            if budget <= 0:
-                break
-            rob = thread.rob
-            trace = thread.trace
-            tlen = thread.trace_len
-            while (
-                budget > 0
-                and thread.cursor < tlen
-                and now >= thread.fetch_stalled_until
-                and len(rob) < rob_share
-            ):
-                if (
-                    not is_ooo
-                    and thread.producer_completion(
-                        trace[thread.cursor].dep_distance, now
-                    )
-                    > now
-                ):
-                    # Stall-on-use: the next instruction's input is not ready.
-                    break
-                dispatch(thread, now)
-                budget -= 1
-        self.cycle = now + 1
-
-    def _can_dispatch(self, thread: SimThread, now: int) -> bool:
-        if thread.cursor >= thread.trace_len:
-            return False
-        if now < thread.fetch_stalled_until:
-            return False
-        if len(thread.rob) >= self._rob_share:
-            return False
-        if not self._is_ooo:
-            # Stall-on-use: the next instruction must have its input ready.
-            instr = thread.trace[thread.cursor]
-            if thread.producer_completion(instr.dep_distance, now) > now:
-                return False
-        return True
-
-    def _dispatch(self, thread: SimThread, now: int) -> None:
-        cursor = thread.cursor
-        instr = thread.trace[cursor]
-        thread.cursor = cursor + 1
-        line = instr.pc // self._l1i_line_bytes
-        if line != thread.last_fetch_line:
-            thread.last_fetch_line = line
-            self._fetch_miss(thread, instr.pc)
-
-        kind = instr.kind
-        ready = thread.producer_completion(instr.dep_distance, now)
-        issue = self._acquire_fu(kind, ready)
-        latency = EXEC_LATENCY[kind]
-        stats = thread.stats
-        if kind == "load" or kind == "store":
-            freq = self._freq
-            result = self.hierarchy.data_access(
-                self.core_index,
-                instr.address,
-                issue / freq,
-                is_write=(kind == "store"),
-                pc=instr.pc,
-            )
-            level = result.level
-            stats.level_hits[level] = stats.level_hits.get(level, 0) + 1
-            mem_cycles = (
-                int(result.latency_ns * freq)
-                if kind == "load"
-                else 1  # stores retire through the write buffer
-            )
-            total = latency + mem_cycles
-            completion = issue + (total if total > 1 else 1)
-        else:
-            completion = issue + latency
-
-        if kind == "branch":
-            # A real predictor resolves the trace's concrete outcome; the
-            # front end redirects once the branch executes.
-            if thread.predictor.update(instr.pc, instr.taken):
-                stats.branch_mispredicts += 1
-                redirect = completion + self.core.frontend_depth
-                if redirect > thread.fetch_stalled_until:
-                    thread.fetch_stalled_until = redirect
-
-        thread.record_completion(completion)
-        thread.rob.append(completion)
-        stats.instructions += 1
-        if thread._warm_snapshot is None:
-            thread.maybe_snapshot(now)
-
-    # ------------------------------------------------------------------ #
-    # batched stepping kernel                                             #
-    # ------------------------------------------------------------------ #
-
-    def _step_numpy(self) -> None:
-        """One cycle via the batched kernel — bit-identical to :meth:`step`.
-
-        Same commit-then-dispatch structure, but the dispatch loop reads
-        the precomputed per-field arrays (:class:`~repro.sim.kernel.
-        TraceArrays`) instead of trace objects, inlines producer lookup,
-        functional-unit issue and (without prefetchers) the L1D probe, and
-        keeps per-thread state in locals, written back once per thread.
-        Every state mutation happens in the same order as the scalar path,
-        so shared-hierarchy interleavings are preserved exactly.
-        """
-        now = self.cycle
-        width = self._width
-        threads = self.threads
-
-        for thread in threads:
-            rob = thread.rob
-            if rob:
-                retired = 0
-                while retired < width and rob and rob[0] <= now:
-                    rob.popleft()
-                    retired += 1
-            if (
-                not rob
-                and thread.done_cycle is None
-                and thread.cursor >= thread.trace_len
-            ):
-                thread.done_cycle = now
-                thread.finalize_stats(now)
-
-        budget = width
-        n = self._n_threads
-        if n == 1:
-            order = threads
-        elif self.fetch_policy == "icount":
-            order = sorted(threads, key=_rob_depth)
-        else:
-            start = now % n
-            order = threads[start:] + threads[:start]
-        rob_share = self._rob_share
-        is_ooo = self._is_ooo
 
         core_index = self.core_index
         freq = self._freq
+        acquire_fu = self._acquire_fu
         (
             instruction_access,
             data_access,
@@ -557,9 +353,6 @@ class PipelineCore:
             l1d_num_sets,
             l1d_line_bytes,
             l1_load_cycles,
-            fu_units,
-            fu_busy_tables,
-            fu_next_tables,
             frontend_depth,
         ) = self._step_ctx
 
@@ -615,6 +408,9 @@ class PipelineCore:
 
                 line = k_fline[cursor]
                 if line != last_line:
+                    # The front end runs ahead and next-line-prefetches
+                    # sequential code, hiding most of an i-miss behind the
+                    # fetch buffer; only a fraction reaches dispatch.
                     last_line = line
                     result = instruction_access(core_index, k_pc[cursor], now / freq)
                     if result.level != "l1":
@@ -622,29 +418,14 @@ class PipelineCore:
                         if stalled > fetch_stall:
                             fetch_stall = stalled
 
-                fu = k_fu[cursor]
-                busy = fu_busy_tables[fu]
-                if len(busy) > _FU_PRUNE_LIMIT:
-                    self._prune_fu_state()
-                units = fu_units[fu]
-                t = ready
-                used = busy.get(t, 0)
-                if used >= units:
-                    nxt = fu_next_tables[fu]
-                    path = []
-                    while used >= units:
-                        path.append(t)
-                        t = nxt.get(t, t + 1)
-                        used = busy.get(t, 0)
-                    for c in path:
-                        nxt[c] = t
-                busy[t] = used + 1
-                issue = t
+                issue = acquire_fu(k_fu[cursor], ready, now)
 
                 mem = k_mem[cursor]
                 if mem == 0:
                     completion = issue + k_lat[cursor]
                 elif mem == 3:  # branch
+                    # A real predictor resolves the trace's concrete
+                    # outcome; the front end redirects once it executes.
                     completion = issue + k_lat[cursor]
                     if predictor_update(k_pc[cursor], k_taken[cursor]):
                         stats.branch_mispredicts += 1
@@ -693,6 +474,7 @@ class PipelineCore:
                         level = result.level
                         mem_cycles = int(result.latency_ns * freq) if mem == 1 else 1
                     level_hits[level] = level_hits.get(level, 0) + 1
+                    # Stores retire through the write buffer (one cycle).
                     total = k_lat[cursor] + mem_cycles
                     completion = issue + (total if total > 1 else 1)
 
@@ -725,7 +507,7 @@ class PipelineCore:
 
         "Act" means: retire at least one ROB entry, record a thread finish,
         or dispatch at least one instruction.  Between the current cycle
-        and the returned cycle the naive per-cycle loop provably does
+        and the returned cycle stepping cycle by cycle provably does
         nothing — per-thread gating values (ROB head completion, fetch
         stall deadline, producer completion for stall-on-use) only change
         when a commit or dispatch happens — so advancing the clock straight
@@ -768,12 +550,12 @@ class PipelineCore:
 
         Returns the next event cycle (the drain sentinel when finished).
         The caller must guarantee that no other core acts in
-        ``[self.cycle, limit)`` — the lockstep driver uses this to batch a
+        ``[self.cycle, limit)`` — :func:`run_lockstep` uses this to batch a
         solo-due core's whole span into one call, which is exactly the
-        naive interleaving because every other core's step would be a
-        no-op over that span.
+        cycle-by-cycle interleaving because every other core's step would
+        be a no-op over that span.
         """
-        if self._n_threads == 1 and self.kernel == "numpy":
+        if self._n_threads == 1:
             return self._run_span_1t(limit)
         step = self.step
         next_event = self.next_event_cycle
@@ -785,18 +567,19 @@ class PipelineCore:
             self.cycle = nxt
 
     def _run_span_1t(self, limit: int) -> int:
-        """:meth:`run_until` fused for a single-thread numpy-kernel core.
+        """:meth:`run_until` fused for a single-thread core.
 
         One call runs the whole span — commit, dispatch, and an inlined
         single-thread :meth:`next_event_cycle` per cycle — with every hot
         binding hoisted out of the cycle loop (the per-step prologue is
         the dominant cost once a core runs alone).  The dispatch body is
-        the same as :meth:`_step_numpy`'s, mutation for mutation, and the
-        golden fingerprint suite pins the equivalence.
+        the same as :meth:`step`'s, mutation for mutation, and the frozen
+        fingerprints pin the equivalence.
         """
         thread = self.threads[0]
         core_index = self.core_index
         freq = self._freq
+        acquire_fu = self._acquire_fu
         (
             instruction_access,
             data_access,
@@ -810,9 +593,6 @@ class PipelineCore:
             l1d_num_sets,
             l1d_line_bytes,
             l1_load_cycles,
-            fu_units,
-            fu_busy_tables,
-            fu_next_tables,
             frontend_depth,
         ) = self._step_ctx
         width = self._width
@@ -849,7 +629,7 @@ class PipelineCore:
         now = self.cycle
 
         while True:
-            # --- commit (identical to _step_numpy's commit phase) ---
+            # --- commit (identical to step's commit phase) ---
             if rob_len:
                 retired = 0
                 while retired < width and rob_len and rob[0] <= now:
@@ -868,7 +648,7 @@ class PipelineCore:
                 self.cycle = now + 1
                 return _NEVER
 
-            # --- dispatch (same body as _step_numpy) ---
+            # --- dispatch (same body as step) ---
             budget = width
             while (
                 budget > 0
@@ -894,28 +674,7 @@ class PipelineCore:
                         if stalled > fetch_stall:
                             fetch_stall = stalled
 
-                fu = k_fu[cursor]
-                busy = fu_busy_tables[fu]
-                if len(busy) > _FU_PRUNE_LIMIT:
-                    # _prune_fu_state keys off self.cycle, which this fused
-                    # span only writes back on exit — sync it first so the
-                    # prune actually drops past cycles.
-                    self.cycle = now
-                    self._prune_fu_state()
-                units = fu_units[fu]
-                t = ready
-                used = busy.get(t, 0)
-                if used >= units:
-                    nxt_table = fu_next_tables[fu]
-                    path = []
-                    while used >= units:
-                        path.append(t)
-                        t = nxt_table.get(t, t + 1)
-                        used = busy.get(t, 0)
-                    for c in path:
-                        nxt_table[c] = t
-                busy[t] = used + 1
-                issue = t
+                issue = acquire_fu(k_fu[cursor], ready, now)
 
                 mem = k_mem[cursor]
                 if mem == 0:
@@ -1052,7 +811,6 @@ class PipelineCore:
         caches = self.hierarchy.core_caches[self.core_index]
         l1i, l1d, l2 = caches.l1i, caches.l1d, caches.l2
         llc = self.hierarchy.llc
-        line_bytes = self._l1i_line_bytes
         counts = list(per_thread)
         if len(counts) != len(self.threads):
             raise ValueError(
@@ -1065,7 +823,6 @@ class PipelineCore:
         l2_access = l2.access
         llc_access = llc.access
         for thread, quota in zip(self.threads, counts):
-            trace = thread.trace
             end = min(thread.trace_len, thread.cursor + quota)
             predictor_update = thread.predictor.update
             last_line = thread.last_fetch_line
@@ -1074,56 +831,32 @@ class PipelineCore:
             dram = 0
             mispredicts = 0
             k = thread._k
-            if k is not None:
-                # Batched-kernel variant of the loop below: identical access
-                # sequence, driven by the precomputed per-field arrays.
-                k_mem = k.mem_code
-                k_pc = k.pc
-                k_fline = k.fetch_line
-                k_addr = k.address
-                k_taken = k.taken
-                for cursor in range(thread.cursor, end):
-                    line = k_fline[cursor]
-                    if line != last_line:
-                        last_line = line
-                        pc = k_pc[cursor]
-                        if not l1i_access(pc) and not l2_access(pc):
-                            llc_access(pc)
-                    mem = k_mem[cursor]
-                    if mem == 1 or mem == 2:
-                        is_write = mem == 2
-                        address = k_addr[cursor]
-                        if not l1d_access(address, is_write):
-                            if l2_access(address, is_write):
-                                l2_hits += 1
-                            elif llc_access(address, is_write):
-                                llc_hits += 1
-                            else:
-                                dram += 1
-                    elif mem == 3:
-                        if predictor_update(k_pc[cursor], k_taken[cursor]):
-                            mispredicts += 1
-            else:
-                for cursor in range(thread.cursor, end):
-                    instr = trace[cursor]
-                    line = instr.pc // line_bytes
-                    if line != last_line:
-                        last_line = line
-                        if not l1i_access(instr.pc) and not l2_access(instr.pc):
-                            llc_access(instr.pc)
-                    kind = instr.kind
-                    if kind == "load" or kind == "store":
-                        is_write = kind == "store"
-                        if not l1d_access(instr.address, is_write):
-                            if l2_access(instr.address, is_write):
-                                l2_hits += 1
-                            elif llc_access(instr.address, is_write):
-                                llc_hits += 1
-                            else:
-                                dram += 1
-                    elif kind == "branch":
-                        if predictor_update(instr.pc, instr.taken):
-                            mispredicts += 1
+            k_mem = k.mem_code
+            k_pc = k.pc
+            k_fline = k.fetch_line
+            k_addr = k.address
+            k_taken = k.taken
+            for cursor in range(thread.cursor, end):
+                line = k_fline[cursor]
+                if line != last_line:
+                    last_line = line
+                    pc = k_pc[cursor]
+                    if not l1i_access(pc) and not l2_access(pc):
+                        llc_access(pc)
+                mem = k_mem[cursor]
+                if mem == 1 or mem == 2:
+                    is_write = mem == 2
+                    address = k_addr[cursor]
+                    if not l1d_access(address, is_write):
+                        if l2_access(address, is_write):
+                            l2_hits += 1
+                        elif llc_access(address, is_write):
+                            llc_hits += 1
+                        else:
+                            dram += 1
+                elif mem == 3:
+                    if predictor_update(k_pc[cursor], k_taken[cursor]):
+                        mispredicts += 1
             out.append((end - thread.cursor, l2_hits, llc_hits, dram, mispredicts))
             thread.cursor = end
             thread.last_fetch_line = last_line
@@ -1133,37 +866,86 @@ class PipelineCore:
     # run loop                                                            #
     # ------------------------------------------------------------------ #
 
-    @property
-    def finished(self) -> bool:
-        return all(t.finished for t in self.threads)
-
-    def run(self, max_cycles: int = 50_000_000, fast_forward: bool = True) -> None:
-        """Run until every thread has drained its trace.
-
-        ``fast_forward`` enables exact idle-cycle skipping (see
-        :meth:`next_event_cycle`); disabling it steps the naive per-cycle
-        loop — results are bit-identical either way.
-        """
-        threads = self.threads
-        while any(t.done_cycle is None for t in threads):
-            if self.cycle >= max_cycles:
-                raise RuntimeError(
-                    f"core {self.core_index} exceeded {max_cycles} cycles; "
-                    "deadlocked or trace too long"
-                )
-            if fast_forward:
-                target = self.next_event_cycle()
-                if target > self.cycle:
-                    if target >= max_cycles:
-                        self.cycle = max_cycles
-                        continue  # raises on the next loop check
-                    self.cycle = target
-            self.step()
-        for thread in threads:
-            if thread.done_cycle is None:
-                thread.done_cycle = self.cycle
-                thread.finalize_stats(self.cycle)
+    def run(self, max_cycles: int = 50_000_000) -> None:
+        """Run until every thread has drained its trace."""
+        run_lockstep([self], max_cycles)
         self.hierarchy.publish_metrics()
+
+
+def run_lockstep(
+    cores: Sequence[PipelineCore], max_cycles: int, stop: int = _NEVER
+) -> None:
+    """Step ``cores`` in lockstep until each drains or the clock reaches
+    ``stop``; raise once an event would fall at or beyond ``max_cycles``.
+
+    The clock jumps between per-core events.  Each core's next event
+    depends only on its own state (ROB heads, fetch-stall deadlines,
+    producer readiness), and that state only changes when the core itself
+    steps — so events stay valid while a core waits, and stepping the due
+    cores in list order gives every shared-hierarchy access the order a
+    cycle-by-cycle loop over all cores would.  When a *single* core is due
+    before every other core's event, it runs its whole span up to that
+    event in one :meth:`PipelineCore.run_until` call, since no other core
+    would act in between.  A drained core is recognised by its event
+    reaching the drain sentinel, so the loop never scans thread states.
+
+    Cores that start drained are skipped; live sampling's detailed windows
+    have them, full runs never do.  Cores still running when the clock
+    reaches ``stop`` are paused there, with their work in flight.
+    """
+    active: List[PipelineCore] = []
+    events: List[int] = []
+    for core in cores:
+        ev = core.next_event_cycle()
+        if ev != _NEVER:
+            active.append(core)
+            events.append(ev)
+    while active:
+        # Earliest event, second-earliest, and whether the earliest is
+        # unique (one scan; core counts are small).
+        target = _NEVER
+        second = _NEVER
+        for ev in events:
+            if ev < target:
+                second = target
+                target = ev
+            elif ev < second:
+                second = ev
+        if target >= max_cycles:
+            raise RuntimeError(
+                f"simulation exceeded {max_cycles} cycles without draining"
+            )
+        if target >= stop:
+            break
+        if second > target:
+            # Exactly one core due: batch its whole span up to the next
+            # other-core event into one call.
+            i = events.index(target)
+            core = active[i]
+            core.cycle = target
+            ev = core.run_until(min(second, stop, max_cycles))
+            if ev == _NEVER:
+                del active[i]
+                del events[i]
+            else:
+                events[i] = ev
+            continue
+        # Several cores due at `target`: step them in list order.
+        i = 0
+        while i < len(active):
+            if events[i] <= target:
+                core = active[i]
+                core.cycle = target
+                core.step()
+                ev = core.next_event_cycle()
+                if ev == _NEVER:
+                    del active[i]
+                    del events[i]
+                    continue
+                events[i] = ev
+            i += 1
+    for core in active:
+        core.cycle = stop
 
 
 def _rob_depth(thread: SimThread) -> int:

@@ -1,76 +1,42 @@
-"""Kernel selection and batched trace precomputation for the cycle tier.
+"""Batched trace precomputation for the cycle tier's stepping loop.
 
-The per-cycle simulation loop exists in two implementations that produce
-bit-identical results (asserted by the golden-fingerprint suite in
-``tests/test_sim_fastpath.py``):
-
-* ``scalar`` — the readable reference path: one :class:`TraceInstruction`
-  at a time, attribute access per field, method calls per cache level.
-* ``numpy`` (default) — the batched path: at core construction every
-  thread's trace is transposed into flat per-field arrays
-  (:class:`TraceArrays`), with NumPy doing the whole-trace address
-  arithmetic up front — instruction-fetch line numbers and L1D set/tag
-  decomposition are computed once for all instructions instead of per
-  dispatch, and instruction kinds collapse into small integer codes so the
-  hot loop never touches a string.  The arrays are converted to plain
-  Python lists before the loop runs because CPython list indexing is
-  faster than ndarray scalar extraction (the same trick the interval
-  tier's vectorized solver uses for its hot scalar tail).
-
-Select with the ``REPRO_SIM_KERNEL`` environment variable (``numpy`` or
-``scalar``).  The variable is read when a core is constructed, so a single
-process can compare both by building two simulators.  When NumPy is not
-importable the selector silently falls back to ``scalar`` — the cycle tier
-has no hard NumPy dependency.
+At core construction every thread's trace is transposed into flat
+per-field arrays (:class:`TraceArrays`), with NumPy doing the whole-trace
+address arithmetic up front: instruction-fetch line numbers and L1D
+set/tag decomposition are computed once for all instructions instead of
+per dispatch, and instruction kinds collapse into small integer codes so
+the hot loop never touches a string.  The arrays are converted to plain
+Python lists before the loop runs because CPython list indexing is faster
+than ndarray scalar extraction (the same trick the interval tier's
+vectorized solver uses for its hot scalar tail).
 """
 
-import os
-from typing import List, Optional, Sequence
+from typing import List, Sequence
+
+import numpy as np
 
 from repro.workloads.tracegen import EXEC_LATENCY, TraceInstruction
 
-try:  # pragma: no cover - numpy is present in the supported environments
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-#: Functional-unit class codes, indexable by the codes in
-#: :attr:`TraceArrays.fu_code` (order is load-bearing: it matches the
-#: lists :class:`~repro.sim.core.PipelineCore` builds from its per-class
-#: dicts, so both kernels share one set of issue-slot tables).
+#: Functional-unit classes, indexable by the codes in
+#: :attr:`TraceArrays.fu_code` (order is load-bearing: it indexes the
+#: per-class issue-slot tables of :class:`~repro.sim.core.PipelineCore`).
 FU_CLASSES = ("int", "ldst", "muldiv", "fp")
 
+#: Functional-unit class code per instruction kind (int ops and branches
+#: share the integer ALUs).
 _FU_CODE = {"int": 0, "branch": 0, "load": 1, "store": 1, "muldiv": 2, "fp": 3}
 
 #: Memory-behaviour codes: 0 = plain compute, 1 = load, 2 = store,
 #: 3 = branch.
 _MEM_CODE = {"int": 0, "fp": 0, "muldiv": 0, "load": 1, "store": 2, "branch": 3}
 
-_VALID_KERNELS = ("numpy", "scalar")
-
-
-def active_kernel(requested: Optional[str] = None) -> str:
-    """Resolve the cycle-tier kernel: explicit argument, else
-    ``$REPRO_SIM_KERNEL``, else ``numpy`` (with a silent fallback to
-    ``scalar`` when NumPy is unavailable)."""
-    value = requested or os.environ.get("REPRO_SIM_KERNEL", "").strip().lower()
-    if not value:
-        value = "numpy"
-    if value not in _VALID_KERNELS:
-        raise ValueError(
-            f"REPRO_SIM_KERNEL must be one of {_VALID_KERNELS}, got {value!r}"
-        )
-    if value == "numpy" and _np is None:
-        return "scalar"
-    return value
-
 
 class TraceArrays:
     """One thread's trace, transposed into flat per-field lists.
 
     Every list has one entry per instruction, indexed by the thread's
-    cursor.  ``fetch_line``, ``l1d_set`` and ``l1d_tag`` hold the address
-    arithmetic that the scalar path recomputes on every dispatch.
+    cursor.  ``fetch_line``, ``l1d_set`` and ``l1d_tag`` hold address
+    arithmetic done once per trace instead of once per dispatch.
     """
 
     __slots__ = (
@@ -117,7 +83,7 @@ def build_trace_arrays(
     l1d_line_bytes: int,
     l1d_num_sets: int,
 ) -> TraceArrays:
-    """Batch-precompute per-instruction fields for the numpy kernel.
+    """Batch-precompute per-instruction fields for the stepping loop.
 
     The set/tag decomposition uses floor division exactly like
     :meth:`repro.memory.cache.Cache._locate` (shift/mask and divmod agree
@@ -133,18 +99,12 @@ def build_trace_arrays(
     kinds, pcs, addresses, deps, _mispred, takens = zip(*trace)
     meta = [(EXEC_LATENCY[k], _FU_CODE[k], _MEM_CODE[k]) for k in kinds]
     exec_lat, fu_code, mem_code = (list(col) for col in zip(*meta))
-    if _np is not None:
-        pc_arr = _np.array(pcs, dtype=_np.int64)
-        addr_arr = _np.array(addresses, dtype=_np.int64)
-        fetch_line = (pc_arr // l1i_line_bytes).tolist()
-        line = addr_arr // l1d_line_bytes
-        l1d_set = (line % l1d_num_sets).tolist()
-        l1d_tag = (line // l1d_num_sets).tolist()
-    else:  # pragma: no cover - exercised only without numpy
-        fetch_line = [pc // l1i_line_bytes for pc in pcs]
-        lines = [a // l1d_line_bytes for a in addresses]
-        l1d_set = [ln % l1d_num_sets for ln in lines]
-        l1d_tag = [ln // l1d_num_sets for ln in lines]
+    pc_arr = np.array(pcs, dtype=np.int64)
+    addr_arr = np.array(addresses, dtype=np.int64)
+    fetch_line = (pc_arr // l1i_line_bytes).tolist()
+    line = addr_arr // l1d_line_bytes
+    l1d_set = (line % l1d_num_sets).tolist()
+    l1d_tag = (line // l1d_num_sets).tolist()
     return TraceArrays(
         exec_lat,
         fu_code,

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.sim.core import PipelineCore, SimThread
+from repro.sim.core import PipelineCore, SimThread, run_lockstep
 
 
 @dataclass(frozen=True)
@@ -934,45 +934,13 @@ def _run_window_cycles(
     same wall-clock interval it would share in a full run.  Threads whose
     traces drain mid-window stop naturally, exactly as in a full run.
     """
-    active: List[PipelineCore] = []
     for core in cores:
-        pending = False
         for thread in core.threads:
             states[id(thread)].open_window(thread, core.cycle)
-            if thread.cursor < thread.trace_len or thread.rob:
-                pending = True
-        if pending:
-            active.append(core)
-    if active:
-        end = max(core.cycle for core in active) + span_cycles
-        events = [c.next_event_cycle() for c in active]
-        while active:
-            target = min(events)
-            if target >= max_cycles:
-                raise RuntimeError(
-                    f"sampled simulation exceeded {max_cycles} cycles "
-                    "without draining"
-                )
-            if target >= end:
-                break  # no event left before the bell
-            next_active: List[PipelineCore] = []
-            next_events: List[int] = []
-            for i, core in enumerate(active):
-                if events[i] > target:
-                    next_active.append(core)
-                    next_events.append(events[i])
-                    continue
-                core.cycle = target
-                core.step()
-                if any(
-                    t.cursor < t.trace_len or t.rob for t in core.threads
-                ):
-                    next_active.append(core)
-                    next_events.append(core.next_event_cycle())
-            active = next_active
-            events = next_events
-        for core in active:
-            core.cycle = end  # pause in-flight work at the bell
+    # Every round starts with all cores on one clock: the bell is that
+    # clock plus the window.
+    bell = max(core.cycle for core in cores) + span_cycles
+    run_lockstep(cores, max_cycles, stop=bell)
     for core in cores:
         for thread in core.threads:
             states[id(thread)].close_window(thread, core.cycle)

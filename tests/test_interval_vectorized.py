@@ -15,11 +15,7 @@ from hypothesis import strategies as st
 import repro.core.study as stmod
 from repro.core.designs import ChipDesign, DESIGN_ORDER, all_designs, get_design
 from repro.core.scheduler import Scheduler
-from repro.interval.contention import (
-    SOLVER_ENV,
-    ChipModel,
-    evaluate_batch,
-)
+from repro.interval.contention import ChipModel, evaluate_batch
 from repro.microarch.config import BIG, MEDIUM, SMALL
 from repro.obs import METRICS, reset_observability
 from repro.workloads.multiprogram import heterogeneous_mixes, profiles_for
@@ -146,8 +142,7 @@ class TestWarmStart:
 
 
 class TestEvaluateBatch:
-    def test_batch_matches_per_point(self, monkeypatch):
-        monkeypatch.delenv(SOLVER_ENV, raising=False)
+    def test_batch_matches_per_point(self):
         requests = []
         for name in DESIGN_ORDER[:3]:
             design = get_design(name)
@@ -158,22 +153,6 @@ class TestEvaluateBatch:
         batch = evaluate_batch(requests)
         for (model, placement, smt, _hint), result in zip(requests, batch):
             assert result == model.evaluate(placement, smt)
-
-    def test_scalar_env_mode(self, monkeypatch):
-        design = get_design("4B")
-        model = ChipModel(design)
-        placement = _placement(design, heterogeneous_mixes(4)[0])
-        monkeypatch.setenv(SOLVER_ENV, "scalar")
-        scalar = model.evaluate(placement)
-        monkeypatch.delenv(SOLVER_ENV)
-        assert model.evaluate(placement) == scalar
-
-    def test_verify_env_mode_smoke(self, monkeypatch):
-        """verify mode runs both solvers and asserts parity internally."""
-        monkeypatch.setenv(SOLVER_ENV, "verify")
-        design = get_design("4B")
-        placement = _placement(design, heterogeneous_mixes(6)[0])
-        ChipModel(design).evaluate(placement)
 
     def test_solver_metrics_observed(self):
         reset_observability()
@@ -191,7 +170,7 @@ class TestEvaluateBatch:
 
 
 class TestStudySlabPath:
-    def _grid(self, study, solver_env=None):
+    def _grid(self, study):
         results = {}
         for name in DESIGN_ORDER[:3]:
             for n in (1, 2, 4):
@@ -202,10 +181,17 @@ class TestStudySlabPath:
         return results
 
     def test_batch_prefetch_matches_scalar_per_point(self, monkeypatch):
-        monkeypatch.setenv(SOLVER_ENV, "scalar")
+        # Per-point evaluation through the scalar reference solver.
+        monkeypatch.setattr(
+            ChipModel,
+            "_solve_vectorized",
+            lambda model, placement, smt=True, hint=None: model._solve(
+                placement, smt
+            ),
+        )
         stmod.clear_latency_hint_cache()
         scalar = self._grid(stmod.DesignSpaceStudy())
-        monkeypatch.delenv(SOLVER_ENV)
+        monkeypatch.undo()
         stmod.clear_latency_hint_cache()
         study = stmod.DesignSpaceStudy()
         study.prefetch(DESIGN_ORDER[:3], "heterogeneous", (1, 2, 4))

@@ -1,9 +1,10 @@
 """Fast-path correctness: full and live runs reproduce committed
-fingerprints, idle-cycle skipping and the batched kernel are bit-identical
-to their references, and the fetch/issue micro-optimizations preserve the
-modelled semantics."""
+fingerprints, finished runs are freed by reference counting, and the
+fetch/issue micro-optimizations preserve the modelled semantics."""
 
+import gc
 import json
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.microarch.config import BIG, MEDIUM, SMALL, CacheConfig
 from repro.microarch.uncore import DEFAULT_UNCORE, InterconnectConfig
 from repro.sim.core import PipelineCore
+from repro.sim.kernel import FU_CLASSES
 from repro.sim.multicore import MulticoreSimulator, ThreadSim
 from repro.workloads.spec import get_profile
 from repro.workloads.tracegen import TraceGenerator
@@ -109,12 +111,7 @@ def _frozen(result):
 
 
 class TestFrozenFingerprints:
-    """Runs must reproduce the committed fingerprints exactly.
-
-    The other classes compare two implementations run side by side, so a
-    change that moves both at once would pass them; these pin the numbers.
-    CI runs this file under each ``REPRO_SIM_KERNEL`` value.
-    """
+    """Runs must reproduce the committed fingerprints exactly."""
 
     @pytest.mark.parametrize(
         "name,design,specs,policy", GOLDEN_CONFIGS, ids=[c[0] for c in GOLDEN_CONFIGS]
@@ -139,60 +136,36 @@ class TestFrozenFingerprints:
         )
         assert _frozen(result) == FROZEN["chips"][f"{design}-{mode}"]
 
+    @pytest.mark.parametrize("prefetcher", ["stride", "nextline"])
+    def test_prefetcher(self, prefetcher):
+        """With a prefetcher installed every data access takes the full
+        hierarchy path (no inlined L1D probe) so the prefetcher sees it."""
+        sim = MulticoreSimulator(get_design("2B4m"), prefetcher=prefetcher)
+        hierarchy, cores = sim.prepare(
+            _threads([("mcf", 0), ("milc", 2)]), instructions_per_thread=2000
+        )
+        frozen = FROZEN["golden"][f"prefetch-{prefetcher}-2B4m"]
+        assert _frozen(sim.execute(hierarchy, cores)) == frozen
+
+    def test_pipeline_run(self):
+        """A single core driven through :meth:`PipelineCore.run`."""
+        hierarchy = MemoryHierarchy((SMALL,), DEFAULT_UNCORE)
+        gen = TraceGenerator(get_profile("mcf"), seed=11)
+        hierarchy.warm(0, gen.warm_addresses())
+        core = PipelineCore(SMALL, 0, hierarchy, [gen.generate(3000)])
+        core.run()
+        stats = core.threads[0].stats
+        assert {
+            "cycle": core.cycle,
+            "instructions": stats.instructions,
+            "cycles": stats.cycles,
+            "branch_mispredicts": stats.branch_mispredicts,
+            "level_hits": dict(stats.level_hits),
+        } == FROZEN["pipeline"]["small-mcf-run"]
+
 
 class TestIdleSkipGolden:
-    """Fast-forwarded runs must be *bit-identical* to naive ones."""
-
-    @pytest.mark.parametrize(
-        "design,specs,policy",
-        [c[1:] for c in GOLDEN_CONFIGS],
-        ids=[c[0] for c in GOLDEN_CONFIGS],
-    )
-    def test_fast_forward_matches_naive(self, design, specs, policy):
-        fingerprints = []
-        for fast_forward in (True, False):
-            sim = MulticoreSimulator(design, fetch_policy=policy)
-            hierarchy, cores = sim.prepare(_threads(specs), 2500)
-            result = sim.execute(hierarchy, cores, fast_forward=fast_forward)
-            fingerprints.append(_fingerprint(result))
-        assert fingerprints[0] == fingerprints[1]
-
-    def test_shared_llc_design_matches_naive(self):
-        """Contention through the shared LLC/DRAM with 8 cores stays exact."""
-        design = get_design("8m")
-        mix = ("mcf", "libquantum", "milc", "lbm")
-        fingerprints = []
-        for fast_forward in (True, False):
-            sim = MulticoreSimulator(design)
-            threads = [
-                ThreadSim(get_profile(name), core_index=i)
-                for i, name in enumerate(mix)
-            ]
-            hierarchy, cores = sim.prepare(threads, instructions_per_thread=1500)
-            result = sim.execute(hierarchy, cores, fast_forward=fast_forward)
-            fingerprints.append(_fingerprint(result))
-        assert fingerprints[0] == fingerprints[1]
-
-    def test_pipeline_run_fast_forward_matches_naive(self):
-        """The single-core run loop honours the same equivalence."""
-        stats = []
-        for fast_forward in (True, False):
-            hierarchy = MemoryHierarchy((SMALL,), DEFAULT_UNCORE)
-            gen = TraceGenerator(get_profile("mcf"), seed=11)
-            hierarchy.warm(0, gen.warm_addresses())
-            core = PipelineCore(SMALL, 0, hierarchy, [gen.generate(3000)])
-            core.run(fast_forward=fast_forward)
-            th = core.threads[0]
-            stats.append(
-                (
-                    core.cycle,
-                    th.stats.instructions,
-                    th.stats.cycles,
-                    th.stats.branch_mispredicts,
-                    dict(th.stats.level_hits),
-                )
-            )
-        assert stats[0] == stats[1]
+    """Skipping idle cycles must not skip past the cycle cap."""
 
     def test_max_cycles_still_enforced_when_skipping(self):
         hierarchy = MemoryHierarchy((BIG,), DEFAULT_UNCORE)
@@ -202,47 +175,24 @@ class TestIdleSkipGolden:
             core.run(max_cycles=10)
 
 
-class TestKernelEquivalence:
-    """The batched numpy kernel must be bit-identical to the scalar path."""
-
-    @pytest.mark.parametrize(
-        "design,specs,policy",
-        [c[1:] for c in GOLDEN_CONFIGS],
-        ids=[c[0] for c in GOLDEN_CONFIGS],
-    )
-    def test_numpy_matches_scalar(self, design, specs, policy):
-        fingerprints = []
-        for kernel in ("scalar", "numpy"):
-            sim = MulticoreSimulator(design, fetch_policy=policy, kernel=kernel)
-            hierarchy, cores = sim.prepare(_threads(specs), 2500)
-            result = sim.execute(hierarchy, cores)
-            fingerprints.append(_fingerprint(result))
-        assert fingerprints[0] == fingerprints[1]
-
-    def test_kernels_match_with_prefetcher(self):
-        """The inlined L1D probe must defer to the full data path when a
-        prefetcher needs to observe every access."""
-        design = get_design("2B4m")
-        fingerprints = []
-        for kernel in ("scalar", "numpy"):
-            sim = MulticoreSimulator(design, prefetcher="stride", kernel=kernel)
-            threads = [
-                ThreadSim(get_profile("mcf"), core_index=0),
-                ThreadSim(get_profile("milc"), core_index=2),
-            ]
-            hierarchy, cores = sim.prepare(threads, instructions_per_thread=2000)
-            fingerprints.append(_fingerprint(sim.execute(hierarchy, cores)))
-        assert fingerprints[0] == fingerprints[1]
-
-    def test_env_selector(self, monkeypatch):
-        from repro.sim.kernel import active_kernel
-
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "scalar")
-        assert active_kernel() == "scalar"
-        assert active_kernel("numpy") == "numpy"  # explicit arg wins
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "turbo")
-        with pytest.raises(ValueError, match="REPRO_SIM_KERNEL"):
-            active_kernel()
+class TestFinishedRunIsFreed:
+    def test_no_reference_cycles(self):
+        """Dropping a finished run frees its cores and hierarchy without
+        the cyclic garbage collector."""
+        sim = MulticoreSimulator(get_design("4B"))
+        hierarchy, cores = sim.prepare(
+            _threads([("mcf", 0), ("tonto", 0), ("lbm", 1)]), 500
+        )
+        sim.execute(hierarchy, cores)
+        refs = [weakref.ref(hierarchy)] + [weakref.ref(c) for c in cores]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del hierarchy, cores
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestFetchLineGranularity:
@@ -282,6 +232,8 @@ class TestFetchLineGranularity:
 class TestFunctionalUnitSkipList:
     """The next-free-cycle skip list must behave like the linear probe."""
 
+    INT, LDST, MULDIV = (FU_CLASSES.index(c) for c in ("int", "ldst", "muldiv"))
+
     def _core(self):
         hierarchy = MemoryHierarchy((BIG,), DEFAULT_UNCORE)
         gen = TraceGenerator(get_profile("tonto"), seed=9)
@@ -289,29 +241,28 @@ class TestFunctionalUnitSkipList:
 
     def test_saturated_cycles_spill_forward(self):
         core = self._core()
-        units = core._fu_units["ldst"]
-        got = [core._acquire_fu("load", 100) for _ in range(3 * units)]
+        units = core._fu_units[self.LDST]
+        got = [core._acquire_fu(self.LDST, 100, 0) for _ in range(3 * units)]
         assert got == [100] * units + [101] * units + [102] * units
 
     def test_hole_filling_before_reserved_cycles(self):
         core = self._core()
-        units = core._fu_units["int"]
+        units = core._fu_units[self.INT]
         for _ in range(units):
-            core._acquire_fu("int", 200)
+            core._acquire_fu(self.INT, 200, 0)
         # An earlier-ready instruction must still issue earlier.
-        assert core._acquire_fu("int", 150) == 150
+        assert core._acquire_fu(self.INT, 150, 0) == 150
 
     def test_prune_preserves_future_reservations(self):
         core = self._core()
-        units = core._fu_units["muldiv"]
+        units = core._fu_units[self.MULDIV]
         for _ in range(units):
-            core._acquire_fu("muldiv", 5000)  # future reservation
-        core.cycle = 4000
+            core._acquire_fu(self.MULDIV, 5000, 0)  # future reservation
+        busy = core._fu_busy[self.MULDIV]
         for c in range(3000):  # stale past-cycle entries
-            core._fu_busy["muldiv"][c] = units
-        core._prune_fu_state()
-        busy = core._fu_busy["muldiv"]
+            busy[c] = units
+        core._prune_fu_state(4000)
         assert all(c >= 4000 for c in busy)
         assert busy[5000] == units
         # The surviving reservation still forces a spill to the next cycle.
-        assert core._acquire_fu("muldiv", 5000) == 5001
+        assert core._acquire_fu(self.MULDIV, 5000, 4000) == 5001
