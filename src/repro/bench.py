@@ -1,20 +1,26 @@
-"""Tracked performance benchmarks for the cycle-level and interval tiers.
+"""In-process microbenchmarks for paths the end-to-end benchmark cannot isolate.
 
-``python -m repro bench`` times a fixed set of scenarios and writes one
-report per tier — ``BENCH_cycle.json`` for the cycle-level simulator
-(trace generation, single-core OoO and in-order runs, an SMT run, an
-8-core shared-LLC run, and a live-sampled chip run whose accuracy is
-gated alongside its speed), ``BENCH_interval.json`` for the interval-model
-tier (per-point evaluation, the 963-point design-space slab, and the raw
-chip solver) and ``BENCH_serve.json`` for the resident daemon
-(submit/poll round-trip latency and warm-cache burst throughput through
-a real unix socket) — each with throughput per scenario plus the speedup
-against the recorded seed baseline (``benchmarks/perf/baseline.json``).  Every
-future PR therefore has a perf trajectory to move: CI re-runs the fast
-scenarios and fails when a scenario regresses by more than 25 %.
+The repository benchmark (``perfbench/``) times whole runs and splits them
+into per-layer self time; it is what a speed claim rests on.  ``python -m
+repro bench`` keeps only what it cannot see: trace generation, the
+cycle-tier stepping loop on fixed configurations (single-core OoO and
+in-order, four SMT contexts sharing one core — a placement that no
+``cycle-validate`` mix makes — and an 8-core shared LLC), the raw chip
+solver, and three scenarios whose floors CI has long held
+(``engine_dispatch``, ``live_sampling`` with its accuracy budget, and
+``interval_point``).
+
+Every scenario writes one entry to one report, ``BENCH_micro.json``: its
+best-of-N wall time and throughput, the spread of its N repeats, and the
+speedup against the recorded seed baseline
+(``benchmarks/perf/baseline.json``).  CI fails when a scenario's
+throughput falls more than 25 % below its baseline entry, or when it has
+no entry.  These floors catch gross breakage only: with the spreads the
+repeats show on a shared host, a best-of-N number cannot resolve a 25 %
+change, so no speed claim rests on them.
 
 The report keys are ``instructions``/``instructions_per_second`` for
-every tier (schema compatibility with the recorded baselines); for the
+every scenario (schema compatibility with the recorded baseline); for the
 interval scenarios the counted unit is an evaluated grid *point* or a
 chip *solve* rather than a simulated instruction — the ``unit`` field on
 each entry names it.
@@ -22,16 +28,12 @@ each entry names it.
 Timing methodology: simulation scenarios time only the lockstep execute
 loop (:meth:`MulticoreSimulator.execute`), not trace generation or cache
 warming, so the number tracks the simulator hot path; ``tracegen`` times
-the generator separately.  Each scenario runs ``--repeat`` times and the
-best (minimum) wall time wins, which is the standard way to reject
-scheduler noise on shared machines.
+the generator separately.
 """
 
-import cProfile
-import io
 import json
 import os
-import pstats
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -42,29 +44,13 @@ from repro.util.io import atomic_write_json
 _LOG = get_logger("bench")
 
 #: Default location of the recorded seed baseline, relative to the cwd
-#: (the repo checkout); override with ``--baseline`` or
-#: ``$REPRO_BENCH_BASELINE``.
+#: (the repo checkout); override with ``--baseline``.
 DEFAULT_BASELINE = os.path.join("benchmarks", "perf", "baseline.json")
 
-#: Scenarios cheap enough for CI's perf gate (skips the long SMT run and
-#: the full design-space slab).
-FAST_SCENARIOS = (
-    "tracegen",
-    "ooo_single",
-    "inorder_single",
-    "8core_llc",
-    "live_sampling",
-    "interval_point",
-    "interval_solver",
-    "engine_dispatch",
-    "serve_roundtrip",
-)
+#: Default report file, relative to the cwd (CI runs from the repo root).
+REPORT_FILE = "BENCH_micro.json"
 
 _SCHEMA_VERSION = 1
-
-#: Budget for the relative throughput cost of live telemetry on the
-#: coalesced-burst scenario (recorder + HTTP exposition vs none).
-MAX_TELEMETRY_OVERHEAD = 0.02
 
 #: Budget for the live-sampling estimator's chip-CPI error against a full
 #: run on the ``live_sampling`` scenario's mix (the accuracy side of the
@@ -78,15 +64,17 @@ class ScenarioResult:
 
     ``instructions`` is the generic work counter; ``unit`` names what it
     counts ("instr" for the cycle tier, "points"/"solves" for interval
-    scenarios).  ``extras`` carries scenario-specific report fields (the
-    serve scenarios attach queue-wait/e2e latency percentiles read from
-    the daemon's live histograms).
+    scenarios).  ``seconds`` is the best repeat's wall time and
+    ``spread`` the interquartile range of all repeats over their median
+    (None for a single repeat).  ``extras`` carries scenario-specific
+    report fields (``live_sampling`` attaches its ``cpi_error``).
     """
 
     name: str
     instructions: int
     seconds: float
     repeats: int
+    spread: Optional[float] = None
     unit: str = "instr"
     extras: Optional[Dict] = None
 
@@ -106,8 +94,8 @@ class ScenarioResult:
 # setup to the clock).  Budgets are sized so the suite finishes fast.
 # A factory may instead return ``(instructions, run, extras)`` where
 # ``extras`` is a zero-argument callable run once after all repeats; its
-# dict is merged into the scenario's report entry (serve latency
-# percentiles ride along this way).
+# dict is merged into the scenario's report entry (``live_sampling``'s
+# accuracy check rides along this way).
 
 
 def _scenario_tracegen() -> Tuple[int, Callable[[], float]]:
@@ -301,23 +289,6 @@ def _scenario_interval_point() -> Tuple[int, Callable[[], float]]:
     return len(mixes), run
 
 
-def _scenario_interval_slab() -> Tuple[int, Callable[[], float]]:
-    """The tentpole: the full 9-design x 9-count heterogeneous slab."""
-    from repro.core.designs import all_designs
-
-    designs = [d.name for d in all_designs()]
-    counts = list(range(1, 10))
-    n = _fresh_interval_study().prefetch(designs, "heterogeneous", counts)
-
-    def run() -> float:
-        study = _fresh_interval_study()
-        start = time.perf_counter()
-        study.prefetch(designs, "heterogeneous", counts)
-        return time.perf_counter() - start
-
-    return n, run
-
-
 def _scenario_interval_solver() -> Tuple[int, Callable[[], float]]:
     """Raw chip-solver throughput: fresh 24-thread solves, no memoization."""
     from repro.core.designs import get_design
@@ -408,240 +379,6 @@ def _scenario_engine_dispatch() -> Tuple[int, Callable[[], float], Callable]:
     return points_per_slice, run, shutdown
 
 
-# --------------------------------------------------------------------- #
-# serve-tier scenarios                                                    #
-# --------------------------------------------------------------------- #
-#
-# These time the resident daemon (docs/serving.md) end to end through a
-# real unix socket: protocol round-trip latency and warm-cache burst
-# throughput.  One daemon boots lazily on first use and is shared by all
-# serve scenarios, so the numbers measure the request path, not startup.
-
-_SERVE_STATE: Dict[str, object] = {}
-
-
-def _serve_handle():
-    from repro.serve import ServeConfig, ServerHandle
-
-    if "handle" not in _SERVE_STATE:
-        import atexit
-        import shutil
-        import tempfile
-
-        tmp = tempfile.mkdtemp(prefix="repro-bench-serve-")
-        handle = ServerHandle(
-            ServeConfig(
-                listen=f"unix:{tmp}/bench.sock",
-                jobs=1,
-                cache_dir=f"{tmp}/cache",
-            )
-        ).start()
-
-        def teardown(handle=handle, tmp=tmp):
-            handle.stop()
-            shutil.rmtree(tmp, ignore_errors=True)
-
-        atexit.register(teardown)
-        _SERVE_STATE["handle"] = handle
-    return _SERVE_STATE["handle"]
-
-
-def _latency_extras(client) -> Callable[[], Dict]:
-    """Read queue-wait/e2e percentiles from the daemon's live histograms.
-
-    Goes through the ``metrics`` op (event-loop thread) rather than
-    poking the registry from this thread; ``window=0`` skips the
-    time-series payload.  Recorded into the report entry so the perf
-    gate can catch latency regressions, not just throughput ones.
-    """
-
-    def extras() -> Dict:
-        snapshot = client.metrics(window=0)["snapshot"]
-        histograms = snapshot.get("histograms", {})
-        latency: Dict[str, Dict[str, float]] = {}
-        for field, metric in (
-            ("queue_wait", "serve.job_queue_wait_seconds"),
-            ("e2e", "serve.job_e2e_seconds"),
-        ):
-            snap = histograms.get(metric)
-            if snap:
-                latency[field] = {
-                    q: snap[q] for q in ("p50", "p95", "p99") if q in snap
-                }
-        return {"latency": latency} if latency else {}
-
-    return extras
-
-
-def _scenario_serve_roundtrip() -> Tuple[int, Callable[[], float], Callable]:
-    """submit+poll+wait round trips for an already-cached point."""
-    from repro.serve import ServeClient
-
-    handle = _serve_handle()
-    client = ServeClient(handle.address, client_name="bench-roundtrip")
-    _SERVE_STATE["roundtrip_client"] = client  # keep the connection open
-    params = {
-        "design": "4B",
-        "mix": ["mcf", "tonto", "libquantum", "hmmer"],
-        "smt": True,
-    }
-    client.wait(client.submit("point", params))  # warm the store
-    requests = 50
-
-    def run() -> float:
-        start = time.perf_counter()
-        for _ in range(requests):
-            job = client.submit("point", params)
-            client.poll(job)
-            client.wait(job)
-        return time.perf_counter() - start
-
-    return requests, run, _latency_extras(client)
-
-
-def _burst_body(client, params: Dict) -> Callable[[], float]:
-    def run() -> float:
-        start = time.perf_counter()
-        first = client.submit("sweep", params)
-        second = client.submit("sweep", params)
-        client.wait(first)
-        client.wait(second)
-        return time.perf_counter() - start
-
-    return run
-
-
-_BURST_PARAMS = {
-    "designs": ["4B"],
-    "kind": "heterogeneous",
-    "max_threads": 4,
-    "smt": True,
-}
-
-
-def _scenario_serve_burst() -> Tuple[int, Callable[[], float], Callable]:
-    """Warm-cache throughput for a ~100-point coalesced burst.
-
-    Two identical sweep jobs are submitted back to back without waiting:
-    whatever of the first job is still in flight when the second arrives
-    is coalesced onto it, and every grid point is a store hit.
-    """
-    from repro.serve import ServeClient
-
-    handle = _serve_handle()
-    client = ServeClient(handle.address, client_name="bench-burst")
-    _SERVE_STATE["burst_client"] = client
-    status = client.wait(client.submit("sweep", _BURST_PARAMS))  # warm store
-    points = 2 * status["total_points"]
-    return points, _burst_body(client, _BURST_PARAMS), _latency_extras(client)
-
-
-def _scenario_serve_burst_telemetry() -> Tuple[int, Callable[[], float], Callable]:
-    """The coalesced burst again, on a daemon with full telemetry on.
-
-    Boots a second daemon with the HTTP exposition thread and the
-    time-series recorder enabled (its own cache dir, so the store warms
-    identically) and runs the same burst body.  The report pairs this
-    with ``serve_burst``: ``annotate_telemetry_overhead`` derives the
-    relative throughput cost, and ``check_regressions`` fails when it
-    exceeds 2 %.
-    """
-    from repro.serve import ServeClient, ServeConfig, ServerHandle
-
-    if "telemetry_handle" not in _SERVE_STATE:
-        import atexit
-        import shutil
-        import tempfile
-
-        tmp = tempfile.mkdtemp(prefix="repro-bench-serve-telem-")
-        handle = ServerHandle(
-            ServeConfig(
-                listen=f"unix:{tmp}/bench.sock",
-                jobs=1,
-                cache_dir=f"{tmp}/cache",
-                http_port=0,  # ephemeral: exposition thread on, no clash
-                record_interval=0.25,
-            )
-        ).start()
-
-        def teardown(handle=handle, tmp=tmp):
-            handle.stop()
-            shutil.rmtree(tmp, ignore_errors=True)
-
-        atexit.register(teardown)
-        _SERVE_STATE["telemetry_handle"] = handle
-    handle = _SERVE_STATE["telemetry_handle"]
-    client = ServeClient(handle.address, client_name="bench-burst-telem")
-    _SERVE_STATE["burst_telemetry_client"] = client
-    status = client.wait(client.submit("sweep", _BURST_PARAMS))  # warm store
-    points = 2 * status["total_points"]
-    return points, _burst_body(client, _BURST_PARAMS), _latency_extras(client)
-
-
-def _scenario_serve_slab_stream() -> Tuple[int, Callable[[], float], Callable]:
-    """Multi-slab compute sweep streamed through a warm-pool daemon.
-
-    Boots a cache-less ``jobs=2`` daemon (its own handle — the shared
-    bench daemon is single-worker and store-backed) and times a sweep
-    that dispatches as several 8-point slabs, so the number tracks the
-    streaming dispatch path: slab fan-out, completion-order write-back
-    and progress, with zero store hits.  Each repeat sweeps a *different*
-    design so the persistent workers' memoized studies never shortcut
-    the compute — warm pool, cold points, every time.
-    """
-    from repro.serve import ServeClient, ServeConfig, ServerHandle
-
-    if "slab_stream_handle" not in _SERVE_STATE:
-        import atexit
-        import shutil
-        import tempfile
-
-        tmp = tempfile.mkdtemp(prefix="repro-bench-serve-slab-")
-        handle = ServerHandle(
-            ServeConfig(
-                listen=f"unix:{tmp}/bench.sock",
-                jobs=2,
-                no_cache=True,
-                slab_size=8,
-            )
-        ).start()
-
-        def teardown(handle=handle, tmp=tmp):
-            handle.stop()
-            shutil.rmtree(tmp, ignore_errors=True)
-
-        atexit.register(teardown)
-        _SERVE_STATE["slab_stream_handle"] = handle
-    handle = _SERVE_STATE["slab_stream_handle"]
-    client = ServeClient(handle.address, client_name="bench-slab-stream")
-    _SERVE_STATE["slab_stream_client"] = client
-    from repro.core.designs import all_designs
-
-    designs = [d.name for d in all_designs()]
-
-    def params(design: str) -> Dict:
-        return {
-            "designs": [design],
-            "kind": "heterogeneous",
-            "max_threads": 4,
-            "smt": True,
-        }
-
-    # Warm the pool (and pin the per-sweep point count) on one design;
-    # repeats rotate through the rest so every sweep recomputes.
-    status = client.wait(client.submit("sweep", params(designs[0])))
-    points = status["total_points"]
-    rotation = designs[1:]
-
-    def run() -> float:
-        design = rotation.pop(0)
-        start = time.perf_counter()
-        client.wait(client.submit("sweep", params(design)))
-        return time.perf_counter() - start
-
-    return points, run, _latency_extras(client)
-
-
 SCENARIOS: Dict[str, Callable[[], Tuple[int, Callable[[], None]]]] = {
     "tracegen": _scenario_tracegen,
     "ooo_single": _scenario_ooo_single,
@@ -650,65 +387,16 @@ SCENARIOS: Dict[str, Callable[[], Tuple[int, Callable[[], None]]]] = {
     "8core_llc": _scenario_8core_llc,
     "live_sampling": _scenario_live_sampling,
     "interval_point": _scenario_interval_point,
-    "interval_slab": _scenario_interval_slab,
     "interval_solver": _scenario_interval_solver,
     "engine_dispatch": _scenario_engine_dispatch,
-    "serve_roundtrip": _scenario_serve_roundtrip,
-    "serve_burst": _scenario_serve_burst,
-    "serve_burst_telemetry": _scenario_serve_burst_telemetry,
-    "serve_slab_stream": _scenario_serve_slab_stream,
-}
-
-#: Scenario -> tier; each tier writes its own report file.
-TIERS: Dict[str, Tuple[str, ...]] = {
-    "cycle": (
-        "tracegen",
-        "ooo_single",
-        "inorder_single",
-        "smt4",
-        "8core_llc",
-        "live_sampling",
-    ),
-    "interval": (
-        "interval_point",
-        "interval_slab",
-        "interval_solver",
-        "engine_dispatch",
-    ),
-    "serve": (
-        "serve_roundtrip",
-        "serve_burst",
-        "serve_burst_telemetry",
-        "serve_slab_stream",
-    ),
-}
-
-#: Default report file per tier (repo root, as ROADMAP.md documents).
-REPORT_FILES: Dict[str, str] = {
-    "cycle": "BENCH_cycle.json",
-    "interval": "BENCH_interval.json",
-    "serve": "BENCH_serve.json",
 }
 
 #: What each non-cycle scenario counts (cycle scenarios count instructions).
 _SCENARIO_UNITS: Dict[str, str] = {
     "interval_point": "points",
-    "interval_slab": "points",
     "interval_solver": "solves",
     "engine_dispatch": "points",
-    "serve_roundtrip": "requests",
-    "serve_burst": "points",
-    "serve_burst_telemetry": "points",
-    "serve_slab_stream": "points",
 }
-
-
-def tier_of(name: str) -> str:
-    """Tier a scenario belongs to ("cycle", "interval" or "serve")."""
-    for tier, names in TIERS.items():
-        if name in names:
-            return tier
-    raise KeyError(f"unknown scenario {name!r}")
 
 
 # --------------------------------------------------------------------- #
@@ -716,10 +404,8 @@ def tier_of(name: str) -> str:
 # --------------------------------------------------------------------- #
 
 
-def run_scenario(
-    name: str, repeats: int = 1, profile: bool = False
-) -> ScenarioResult:
-    """Time one scenario; best-of-``repeats`` wall time."""
+def run_scenario(name: str, repeats: int = 5) -> ScenarioResult:
+    """Time one scenario; best-of-``repeats`` wall time plus its spread."""
     if name not in SCENARIOS:
         raise KeyError(
             f"unknown scenario {name!r}; choose from {', '.join(SCENARIOS)}"
@@ -729,43 +415,30 @@ def run_scenario(
     parts = SCENARIOS[name]()
     instructions, body = parts[0], parts[1]
     extras_fn = parts[2] if len(parts) > 2 else None
-    if profile:
-        _profile_scenario(name, body)
-    best = float("inf")
-    for _ in range(repeats):
-        best = min(best, body())
+    samples = [body() for _ in range(repeats)]
     extras = extras_fn() if extras_fn is not None else None
     return ScenarioResult(
         name=name,
         instructions=instructions,
-        seconds=best,
+        seconds=min(samples),
         repeats=repeats,
+        spread=_spread(samples),
         unit=_SCENARIO_UNITS.get(name, "instr"),
         extras=extras or None,
     )
 
 
-def _profile_scenario(name: str, body: Callable[[], None]) -> None:
-    """Run ``body`` once under cProfile; log the top-20 cumulative hotspots."""
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        body()
-    finally:
-        profiler.disable()
-    buffer = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buffer)
-    stats.sort_stats("cumulative").print_stats(20)
-    _LOG.info(f"profile: {name} (top-20 cumulative)")
-    for line in buffer.getvalue().splitlines():
-        line = line.rstrip()
-        if line:
-            _LOG.info(f"profile: {line}")
+def _spread(samples: Sequence[float]) -> Optional[float]:
+    """Interquartile range of ``samples`` over their median."""
+    if len(samples) < 2:
+        return None
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return (q3 - q1) / median
 
 
 def load_baseline(path: Optional[str] = None) -> Optional[Dict]:
     """Read the recorded baseline, or None if there is none to compare to."""
-    path = path or os.environ.get("REPRO_BENCH_BASELINE") or DEFAULT_BASELINE
+    path = path or DEFAULT_BASELINE
     try:
         with open(path) as handle:
             data = json.load(handle)
@@ -779,17 +452,16 @@ def load_baseline(path: Optional[str] = None) -> Optional[Dict]:
 
 def run_suite(
     scenarios: Optional[Sequence[str]] = None,
-    repeats: int = 1,
+    repeats: int = 5,
     baseline_path: Optional[str] = None,
-    profile: bool = False,
 ) -> Dict:
-    """Run the selected scenarios and assemble the ``BENCH_cycle`` report."""
+    """Run the selected scenarios and assemble the ``BENCH_micro`` report."""
     selected = list(scenarios) if scenarios else list(SCENARIOS)
     baseline = load_baseline(baseline_path)
     results: List[ScenarioResult] = []
     for name in selected:
         _LOG.info(f"bench: running {name} (repeats={repeats})")
-        results.append(run_scenario(name, repeats=repeats, profile=profile))
+        results.append(run_scenario(name, repeats=repeats))
     report: Dict = {
         "schema_version": _SCHEMA_VERSION,
         "baseline": None,
@@ -799,7 +471,6 @@ def run_suite(
         report["baseline"] = {
             "path": baseline.get("path"),
             "label": baseline.get("label", "seed"),
-            "latency": baseline.get("latency", {}),
         }
     for r in results:
         entry = {
@@ -807,6 +478,7 @@ def run_suite(
             "seconds": round(r.seconds, 6),
             "instructions_per_second": round(r.instructions_per_second, 1),
             "repeats": r.repeats,
+            "spread": round(r.spread, 3) if r.spread is not None else None,
             "unit": r.unit,
             "speedup_vs_baseline": None,
         }
@@ -820,47 +492,25 @@ def run_suite(
                     3,
                 )
         report["scenarios"][r.name] = entry
-    annotate_telemetry_overhead(report)
     return report
-
-
-def annotate_telemetry_overhead(report: Dict) -> Optional[float]:
-    """Derive telemetry's relative throughput cost from the burst pair.
-
-    When both ``serve_burst`` (telemetry-free daemon) and
-    ``serve_burst_telemetry`` (recorder + HTTP exposition on) ran,
-    record ``telemetry_overhead`` — the fraction of burst throughput
-    lost with telemetry enabled (negative means noise made the
-    telemetry run faster) — on the telemetry entry, and return it.
-    """
-    scenarios = report.get("scenarios", {})
-    plain = scenarios.get("serve_burst")
-    telem = scenarios.get("serve_burst_telemetry")
-    if not plain or not telem:
-        return None
-    plain_ips = plain.get("instructions_per_second") or 0.0
-    telem_ips = telem.get("instructions_per_second") or 0.0
-    if plain_ips <= 0 or telem_ips <= 0:
-        return None
-    overhead = round(1.0 - telem_ips / plain_ips, 4)
-    telem["telemetry_overhead"] = overhead
-    return overhead
 
 
 def format_report(report: Dict) -> str:
     """Human-readable table for stdout."""
     lines = [
         f"{'scenario':16s}{'work':>14s}{'seconds':>10s}"
-        f"{'rate':>12s} {'unit':8s}{'vs seed':>9s}"
+        f"{'rate':>12s} {'unit':8s}{'spread':>8s}{'vs seed':>9s}"
     ]
     for name, entry in report["scenarios"].items():
         speedup = entry["speedup_vs_baseline"]
+        spread = entry["spread"]
         unit = entry.get("unit", "instr")
         lines.append(
             f"{name:16s}{entry['instructions']:>14,d}"
             f"{entry['seconds']:>10.3f}"
             f"{entry['instructions_per_second']:>12,.0f}"
             f" {unit + '/s':8s}"
+            f"{f'{spread:.0%}' if spread is not None else '-':>8s}"
             f"{f'{speedup:.2f}x' if speedup is not None else '-':>9s}"
         )
     if report["baseline"] is None:
@@ -882,16 +532,13 @@ def check_regressions(
     A scenario fails when its throughput falls more than ``max_regression``
     below the recorded baseline (speedup < 1 - max_regression); the
     failure message names the offending scenario and quotes the exact
-    throughput delta so the CI log alone identifies the culprit.
-    Scenarios without a baseline entry are skipped — they cannot regress
-    against nothing.  Three accuracy/latency checks ride along,
-    independent of any baseline: a ``cpi_error`` above
-    :data:`MAX_LIVE_SAMPLING_ERROR` fails (the live-sampling scenario's
-    accuracy contract — a throughput win bought with estimator error is
-    still a failure), a ``telemetry_overhead`` above
-    :data:`MAX_TELEMETRY_OVERHEAD` fails, and a recorded e2e p95 more
-    than ``1 + max_regression`` above the baseline's fails.  Returns an
-    empty list when everything is within bounds.
+    throughput delta so the CI log alone identifies the culprit.  A
+    scenario without a baseline entry fails too: a timing with nothing to
+    compare against gates nothing.  Independent of any baseline, a
+    ``cpi_error`` above :data:`MAX_LIVE_SAMPLING_ERROR` fails (the
+    live-sampling scenario's accuracy contract — a throughput win bought
+    with estimator error is still a failure).  Returns an empty list when
+    everything is within bounds.
     """
     if not 0.0 < max_regression < 1.0:
         raise ValueError(
@@ -899,10 +546,11 @@ def check_regressions(
         )
     failures: List[str] = []
     floor = 1.0 - max_regression
-    baseline = report.get("baseline")
     for name, entry in report["scenarios"].items():
         speedup = entry.get("speedup_vs_baseline")
-        if speedup is not None and speedup < floor:
+        if speedup is None:
+            failures.append(f"{name}: no baseline entry to compare against")
+        elif speedup < floor:
             unit = entry.get("unit", "instr")
             current = entry["instructions_per_second"]
             recorded = current / speedup if speedup > 0 else 0.0
@@ -918,31 +566,14 @@ def check_regressions(
                 f"{name}: live-sampled chip CPI is {cpi_error:.1%} off the "
                 f"full run (budget: {MAX_LIVE_SAMPLING_ERROR:.0%})"
             )
-        overhead = entry.get("telemetry_overhead")
-        if overhead is not None and overhead > MAX_TELEMETRY_OVERHEAD:
-            failures.append(
-                f"{name}: telemetry overhead {overhead:.1%} exceeds the "
-                f"{MAX_TELEMETRY_OVERHEAD:.0%} budget"
-            )
-        base_latency = (baseline or {}).get("latency", {}).get(name) or {}
-        base_p95 = (base_latency.get("e2e") or {}).get("p95")
-        p95 = (entry.get("latency", {}).get("e2e") or {}).get("p95")
-        if base_p95 and p95 is not None:
-            ceiling = base_p95 * (1.0 + max_regression)
-            if p95 > ceiling:
-                failures.append(
-                    f"{name}: e2e p95 {p95 * 1000:.1f}ms exceeds "
-                    f"{ceiling * 1000:.1f}ms "
-                    f"(baseline {base_p95 * 1000:.1f}ms + {max_regression:.0%})"
-                )
     return failures
 
 
-def save_baseline(report: Dict, path: str, label: str = "seed") -> None:
+def save_baseline(report: Dict, path: str) -> None:
     """Persist the current numbers as the comparison baseline."""
     payload = {
         "schema_version": _SCHEMA_VERSION,
-        "label": label,
+        "label": "seed",
         "scenarios": {
             name: {
                 "instructions": entry["instructions"],
@@ -951,12 +582,4 @@ def save_baseline(report: Dict, path: str, label: str = "seed") -> None:
             for name, entry in report["scenarios"].items()
         },
     }
-    latency = {
-        name: entry["latency"]
-        for name, entry in report["scenarios"].items()
-        if entry.get("latency")
-    }
-    if latency:
-        payload["latency"] = latency
     atomic_write_json(path, payload)
-

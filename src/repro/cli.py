@@ -855,8 +855,11 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    import os
+
     from repro import bench
 
+    names = None
     if args.scenario:
         names = [s.strip() for s in args.scenario.split(",") if s.strip()]
         unknown = [n for n in names if n not in bench.SCENARIOS]
@@ -866,50 +869,28 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 f"choose from {', '.join(bench.SCENARIOS)}"
             )
             return 2
-    elif args.fast:
-        names = list(bench.FAST_SCENARIOS)
-    else:
-        names = list(bench.SCENARIOS)
     if args.repeat < 1:
         _LOG.error(f"error: --repeat must be >= 1, got {args.repeat}")
         return 2
-    by_tier: Dict[str, List[str]] = {}
-    for name in names:
-        by_tier.setdefault(bench.tier_of(name), []).append(name)
-    if args.output is not None and len(by_tier) > 1:
+    baseline = args.baseline or bench.DEFAULT_BASELINE
+    if args.check is not None and bench.load_baseline(baseline) is None:
         _LOG.error(
-            "error: --output names a single file but the selected scenarios "
-            "span multiple tiers; select one tier or drop --output to use "
-            "the per-tier defaults (BENCH_cycle.json / BENCH_interval.json "
-            "/ BENCH_serve.json)"
+            f"error: --check needs a baseline, and none loaded from "
+            f"{os.path.abspath(baseline)} (missing or malformed)"
         )
         return 2
-    # One report file per tier; save-baseline and --check see all scenarios.
-    combined: Dict = {"schema_version": None, "baseline": None, "scenarios": {}}
-    for tier in bench.TIERS:
-        if tier not in by_tier:
-            continue
-        report = bench.run_suite(
-            scenarios=by_tier[tier],
-            repeats=args.repeat,
-            baseline_path=args.baseline,
-            profile=args.profile,
-        )
-        out = args.output or bench.REPORT_FILES[tier]
-        print(
-            json.dumps(report, indent=2) if args.json
-            else bench.format_report(report)
-        )
-        bench.write_report(report, out)
-        _LOG.info(f"wrote {out}")
-        combined["schema_version"] = report["schema_version"]
-        combined["baseline"] = combined["baseline"] or report["baseline"]
-        combined["scenarios"].update(report["scenarios"])
+    report = bench.run_suite(
+        scenarios=names, repeats=args.repeat, baseline_path=baseline
+    )
+    print(json.dumps(report, indent=2) if args.json else bench.format_report(report))
+    out = args.output or bench.REPORT_FILE
+    bench.write_report(report, out)
+    _LOG.info(f"wrote {out}")
     if args.save_baseline:
-        bench.save_baseline(combined, args.save_baseline, label=args.baseline_label)
+        bench.save_baseline(report, args.save_baseline)
         _LOG.info(f"recorded baseline: {args.save_baseline}")
     if args.check is not None:
-        failures = bench.check_regressions(combined, max_regression=args.check)
+        failures = bench.check_regressions(report, max_regression=args.check)
         for message in failures:
             _LOG.error(f"perf regression: {message}")
         if failures:
@@ -1405,8 +1386,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        help="time the cycle-level and interval tiers; writes "
-        "BENCH_cycle.json and BENCH_interval.json",
+        help="time the in-process microbenchmarks against the seed "
+        "baseline; writes BENCH_micro.json",
     )
     p_bench.add_argument(
         "--scenario",
@@ -1415,23 +1396,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only these scenarios (default: all)",
     )
     p_bench.add_argument(
-        "--fast",
-        action="store_true",
-        help="run only the fast scenarios used by the CI perf gate",
-    )
-    p_bench.add_argument(
         "--repeat",
         type=int,
-        default=1,
+        default=5,
         metavar="N",
-        help="repeats per scenario; best wall time wins (default: 1)",
+        help="repeats per scenario; best wall time wins and the spread of "
+        "all N is recorded (default: 5)",
     )
     p_bench.add_argument(
         "--output",
         default=None,
         metavar="FILE",
-        help="report file when a single tier is selected (default: "
-        "BENCH_cycle.json / BENCH_interval.json per tier)",
+        help="report file (default: BENCH_micro.json)",
     )
     p_bench.add_argument(
         "--baseline",
@@ -1447,27 +1423,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="also record these numbers as a new baseline file",
     )
     p_bench.add_argument(
-        "--baseline-label",
-        default="seed",
-        metavar="LABEL",
-        help="label stored in --save-baseline (default: seed)",
-    )
-    p_bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="additionally run each scenario under cProfile and log the "
-        "top-20 cumulative hotspots",
-    )
-    p_bench.add_argument(
         "--check",
         type=float,
         default=None,
         nargs="?",
         const=0.25,
         metavar="FRACTION",
-        help="exit non-zero if any scenario's instr/sec falls more than "
-        "this fraction below the baseline (default when given: 0.25); "
-        "the CI perf gate runs with this flag",
+        help="exit non-zero if any scenario's throughput falls more than "
+        "this fraction below the baseline or has no baseline entry "
+        "(default when given: 0.25); the CI perf gate runs with this flag",
     )
     p_bench.add_argument("--json", action="store_true", help="machine-readable output")
     p_bench.set_defaults(func=_cmd_bench)

@@ -3,7 +3,7 @@
 Plain blocking sockets — the client side needs no asyncio: it writes one
 NDJSON request line and reads response lines until the matching ``seq``
 arrives (or, for ``stream``, until the final event).  Used by the CLI's
-``--server`` mode and by the bench/serve test harnesses.
+``--server`` mode, by the repository benchmark and by the serve tests.
 """
 
 import socket

@@ -1341,10 +1341,10 @@ class SweepServer:
 
 
 class ServerHandle:
-    """A server running on a background thread (tests and benchmarks).
+    """A server running on a background thread (tests).
 
-    The daemon normally owns the process (``SweepServer.run``); tests and
-    the bench harness instead need it beside them.  The handle runs
+    The daemon normally owns the process (``SweepServer.run``); tests
+    instead need it beside them.  The handle runs
     ``_main`` on a private thread, waits for the listening socket, and
     exposes thread-safe pause/resume/stop plus direct access to the
     server object for white-box assertions.

@@ -1,16 +1,22 @@
-"""The tracked benchmark harness: report shape, baselines and the CI gate."""
+"""The microbenchmark harness: report shape, baselines and the CI gate."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import bench
+from repro.cli import main
+
+_REPO_BASELINE = Path(__file__).resolve().parents[1] / bench.DEFAULT_BASELINE
 
 
 class TestScenarioRegistry:
-    def test_fast_scenarios_are_registered(self):
-        for name in bench.FAST_SCENARIOS:
-            assert name in bench.SCENARIOS
+    def test_every_scenario_has_a_baseline_entry(self):
+        # CI checks every scenario against its floor, so a scenario with no
+        # entry would fail the gate and an entry with no scenario gates nothing.
+        baseline = bench.load_baseline(str(_REPO_BASELINE))
+        assert set(bench.SCENARIOS) == set(baseline["scenarios"])
 
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError, match="unknown scenario"):
@@ -24,35 +30,40 @@ class TestScenarioRegistry:
 class TestRunSuite:
     @pytest.fixture(scope="class")
     def report(self):
-        # tracegen is the cheapest scenario; one repeat keeps this fast.
-        return bench.run_suite(scenarios=["tracegen"], repeats=1)
+        # interval_solver is the cheapest scenario; five repeats stay fast.
+        return bench.run_suite(
+            scenarios=["interval_solver"],
+            repeats=5,
+            baseline_path=str(_REPO_BASELINE),
+        )
 
     def test_report_shape(self, report):
         assert report["schema_version"] == 1
-        entry = report["scenarios"]["tracegen"]
+        entry = report["scenarios"]["interval_solver"]
         assert entry["instructions"] > 0
         assert entry["seconds"] > 0
         assert entry["instructions_per_second"] > 0
-        assert entry["repeats"] == 1
+        assert entry["repeats"] == 5
+        assert entry["spread"] >= 0
 
     def test_speedup_against_recorded_baseline(self, report):
         # The repo ships a seed baseline, so the speedup must be populated.
         assert report["baseline"] is not None
-        assert report["scenarios"]["tracegen"]["speedup_vs_baseline"] > 0
+        assert report["scenarios"]["interval_solver"]["speedup_vs_baseline"] > 0
 
     def test_report_roundtrips_through_json(self, report, tmp_path):
-        path = tmp_path / "BENCH_cycle.json"
+        path = tmp_path / bench.REPORT_FILE
         bench.write_report(report, str(path))
         assert json.loads(path.read_text()) == report
 
     def test_save_baseline_roundtrip(self, report, tmp_path):
         path = tmp_path / "baseline.json"
-        bench.save_baseline(report, str(path), label="test")
+        bench.save_baseline(report, str(path))
         loaded = bench.load_baseline(str(path))
-        assert loaded["label"] == "test"
+        assert loaded["label"] == "seed"
         assert (
-            loaded["scenarios"]["tracegen"]["instructions_per_second"]
-            == report["scenarios"]["tracegen"]["instructions_per_second"]
+            loaded["scenarios"]["interval_solver"]["instructions_per_second"]
+            == report["scenarios"]["interval_solver"]["instructions_per_second"]
         )
 
 
@@ -102,36 +113,22 @@ class TestCheckRegressions:
         assert bench.check_regressions(report, max_regression=0.25) == []
         assert len(bench.check_regressions(report, max_regression=0.05)) == 1
 
-    def test_no_baseline_entry_is_skipped(self):
-        assert bench.check_regressions(_report({"a": None})) == []
+    def test_no_baseline_entry_fails(self):
+        failures = bench.check_regressions(_report({"a": None, "b": 1.0}))
+        assert len(failures) == 1
+        assert failures[0].startswith("a: no baseline entry")
+
+    def test_live_sampling_error_over_budget_fails(self):
+        report = _report({"a": 1.0, "b": 1.0})
+        report["scenarios"]["a"]["cpi_error"] = bench.MAX_LIVE_SAMPLING_ERROR
+        report["scenarios"]["b"]["cpi_error"] = 0.031
+        failures = bench.check_regressions(report)
+        assert len(failures) == 1
+        assert "b:" in failures[0] and "3.1%" in failures[0]
 
     def test_bad_threshold_raises(self):
         with pytest.raises(ValueError, match="max_regression"):
             bench.check_regressions(_report({}), max_regression=1.5)
-
-
-class TestTiers:
-    def test_every_scenario_has_a_tier(self):
-        tiered = [n for names in bench.TIERS.values() for n in names]
-        assert sorted(tiered) == sorted(bench.SCENARIOS)
-
-    def test_tier_of(self):
-        assert bench.tier_of("tracegen") == "cycle"
-        assert bench.tier_of("interval_slab") == "interval"
-        with pytest.raises(KeyError):
-            bench.tier_of("no-such-scenario")
-
-    def test_each_tier_has_a_report_file(self):
-        assert set(bench.REPORT_FILES) == set(bench.TIERS)
-        assert bench.REPORT_FILES["cycle"] == "BENCH_cycle.json"
-        assert bench.REPORT_FILES["interval"] == "BENCH_interval.json"
-
-    def test_interval_scenarios_in_fast_set(self):
-        # The CI perf gate runs FAST_SCENARIOS; the cheap interval
-        # scenarios must be in it (the 963-point slab is not).
-        assert "interval_point" in bench.FAST_SCENARIOS
-        assert "interval_solver" in bench.FAST_SCENARIOS
-        assert "interval_slab" not in bench.FAST_SCENARIOS
 
 
 class TestIntervalScenarios:
@@ -140,6 +137,7 @@ class TestIntervalScenarios:
         assert result.unit == "solves"
         assert result.instructions == 16
         assert result.instructions_per_second > 0
+        assert result.spread is None  # one repeat has no spread
 
     def test_report_entry_carries_unit(self):
         report = bench.run_suite(scenarios=["interval_solver"], repeats=1)
@@ -151,3 +149,17 @@ class TestIntervalScenarios:
     def test_cycle_scenarios_count_instructions(self):
         result = bench.run_scenario("tracegen", repeats=1)
         assert result.unit == "instr"
+
+
+class TestCli:
+    def test_check_without_baseline_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        report = tmp_path / "report.json"
+        code = main([
+            "bench", "--scenario", "interval_solver", "--repeat", "1",
+            "--check", "0.25", "--baseline", str(missing),
+            "--output", str(report),
+        ])
+        assert code == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not report.exists()
